@@ -4,8 +4,10 @@
 //
 // Three layers:
 //
-//  - CodeBlock: one unit of generated code (ExecMemory + captured IR +
-//    stats) with an intrusive atomic refcount. Immutable after creation.
+//  - CodeBlock: one unit of generated code (finalized ExecMemory, stats
+//    and block count) with an intrusive atomic refcount. Immutable after
+//    creation. The captured IR a rewrite builds is freed once it is
+//    emitted; a block keeps only what serving the code needs.
 //  - CodeHandle: the smart pointer over CodeBlock. Copy = retain, so a
 //    handle held by an executing caller keeps the code mapped even after
 //    the cache evicts the entry.
@@ -53,7 +55,6 @@ namespace brew {
 // collectively by every CodeHandle pointing at it.
 struct CodeBlock {
   ExecMemory memory;
-  ir::CapturedFunction captured;
   TraceStats traceStats;
   ir::EmitStats emitStats;
   mutable std::atomic<uint64_t> refs{1};
@@ -62,22 +63,18 @@ struct CodeBlock {
   // may still be inspecting the refcount when the last handle dies).
   std::atomic<bool> published{false};
 
-  // Blocks restored from the persistent store carry no captured IR (only
-  // the finalized bytes survive serialization); this preserves the unit's
-  // block count for cache accounting. Zero for freshly-compiled blocks.
-  uint32_t persistedBlocks = 0;
+  // Specialized basic blocks this unit carries (docs/BLOCKS.md): the
+  // post-pass block count of a fresh compile, or the stored count of a
+  // unit restored from the persistent store.
+  uint32_t blockCount = 0;
   // True when the code pages are a shared mapping of another process's
   // sealed memfd (see support/persist_cache.hpp).
   bool sharedMapping = false;
 
   size_t codeBytes() const noexcept { return memory.size(); }
-  // Specialized basic blocks this unit carries (docs/BLOCKS.md): the cache
-  // accounts for live blocks as well as bytes, so per-block growth (fork
-  // bombs, variant churn) is observable at the cache boundary.
-  size_t blockUnits() const noexcept {
-    const size_t fromIr = static_cast<size_t>(captured.blockCount());
-    return fromIr != 0 ? fromIr : persistedBlocks;
-  }
+  // The cache accounts for live blocks as well as bytes, so per-block
+  // growth (fork bombs, variant churn) is observable at the cache boundary.
+  size_t blockUnits() const noexcept { return blockCount; }
 };
 
 namespace detail {

@@ -336,6 +336,12 @@ void VariantDispatcher::installLocked(uint64_t key, CodeHandle handle,
                                       uint64_t seedScore) {
   auto existing = variants_.find(key);
   if (existing != variants_.end()) demoteLocked(existing);
+  // maybeSpecializeLocked checks the cap when a variant is requested, but
+  // asynchronous results land later: several singles can be in flight at
+  // once, and an epoch bump's batch races new misses. Hold it here too.
+  if (variants_.size() >= options_.maxVariants)
+    if (auto coldest = coldestLocked(); coldest != variants_.end())
+      demoteLocked(coldest);
   auto rec = std::make_unique<IcRecord>();
   rec->key = key;
   rec->target = handle.entry();

@@ -81,10 +81,6 @@ const ir::EmitStats& RewrittenFunction::emitStats() const {
   return handle_ ? handle_->emitStats : kEmptyEmitStats;
 }
 
-std::string RewrittenFunction::dumpCaptured() const {
-  return handle_ ? handle_->captured.dump() : std::string{};
-}
-
 std::string RewrittenFunction::disassembly() const {
   if (!handle_) return {};
   const ExecMemory& memory = handle_->memory;
@@ -150,7 +146,7 @@ Result<CodeHandle> compileSpecialization(const Config& config,
 
   auto* block = new CodeBlock();
   block->memory = std::move(*memory);
-  block->captured = std::move(*captured);
+  block->blockCount = static_cast<uint32_t>(captured->blockCount());
   block->traceStats = tracer.stats();
   block->emitStats = emitStats;
   const uint64_t tInstall = stamp();

@@ -101,8 +101,7 @@ class RewrittenFunction {
   const CodeHandle& handle() const { return handle_; }
   CodeHandle shareHandle() const { return handle_; }
 
-  // Captured-form dump (blocks + pool) and final disassembly.
-  std::string dumpCaptured() const;
+  // Disassembly of the emitted code.
   std::string disassembly() const;
 
  private:

@@ -264,7 +264,7 @@ Result<CodeHandle> SpecManager::rewrite(const Config& config,
         block->emitStats.codeBytes = probe.entry->codeBytes;
         block->emitStats.poolBytes = probe.entry->poolBytes;
         block->emitStats.instructions = probe.entry->instructions;
-        block->persistedBlocks = probe.entry->blockUnits;
+        block->blockCount = probe.entry->blockUnits;
         block->sharedMapping = probe.entry->shared;
         registerGeneratedCode(block->memory.data(),
                               block->emitStats.codeBytes, fn, key.configFp,

@@ -80,7 +80,8 @@ class CapturedFunction {
 
   // The per-function instruction arena; newBlock() wires every block's
   // instruction vector to it. Lives (shared) as long as any copy of this
-  // function, so cached captured IR stays valid after the rewrite ends.
+  // function. Captured IR lives only for the duration of one rewrite: the
+  // cache keeps the emitted code, not the IR.
   support::ArenaAllocator<isa::Instruction> instrAllocator();
 
   // Human-readable dump (tests, BREW_LOG).

@@ -749,9 +749,12 @@ std::optional<ExecMemory> Store::fetchShared(uint64_t nameHash,
   const int sock = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (sock < 0) return std::nullopt;
   setSocketTimeouts(sock);
+  // MSG_NOSIGNAL: a server exiting between connect and send must fail the
+  // fetch, not kill this process with SIGPIPE.
   if (::connect(sock, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
           0 ||
-      !writeAll(sock, &nameHash, sizeof nameHash)) {
+      ::send(sock, &nameHash, sizeof nameHash, MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(sizeof nameHash)) {
     ::close(sock);
     return std::nullopt;
   }

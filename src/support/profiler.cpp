@@ -76,7 +76,9 @@ void writeSlotLocked(RegionSlot& s, uint64_t base, uint64_t size,
 // Sample rings. One SPSC ring per sampled thread, claimed once from a
 // fixed pool by the first SIGPROF the thread takes (a relaxed fetch_add —
 // no locks, no allocation in the handler). The drain thread is the single
-// consumer for every ring.
+// consumer for every ring. The pool is static (zero-initialized, so it costs
+// no resident memory until a ring is used): the handler, injectors and
+// drainer all read it without any publication step to race on.
 // ---------------------------------------------------------------------------
 
 constexpr size_t kRingCapacity = 4096;  // power of two
@@ -88,7 +90,7 @@ struct SampleRing {
   uint64_t pc[kRingCapacity];
 };
 
-SampleRing* g_rings = nullptr;          // allocated once, leaked
+constinit SampleRing g_rings[kMaxRings];
 std::atomic<uint32_t> g_ringCount{0};   // claimed slots
 thread_local SampleRing* t_ring = nullptr;
 std::atomic<uint64_t> g_dropped{0};
@@ -155,7 +157,7 @@ void drainPass() {
   std::lock_guard<std::mutex> drainLock(g_drainMu);
   const uint32_t rings =
       std::min(g_ringCount.load(std::memory_order_acquire), kMaxRings);
-  if (rings == 0 || g_rings == nullptr) return;
+  if (rings == 0) return;
   // Per-pass, per-region fresh counts feed the hotness sink after the
   // aggregation locks are released.
   std::unordered_map<uint64_t, uint64_t> freshByBase;
@@ -194,10 +196,6 @@ void drainLoop() {
     drainPass();
     lock.lock();
   }
-}
-
-void ensureRings() {
-  if (g_rings == nullptr) g_rings = new SampleRing[kMaxRings];
 }
 
 // ---------------------------------------------------------------------------
@@ -459,7 +457,6 @@ bool startProfiler(int hz) {
   hz = std::clamp(hz, 1, 10000);
   std::unique_lock<std::mutex> lock(g_ctlMu);
   if (g_running) return true;
-  ensureRings();
   installCrashHandler();
 
   struct sigaction sa;
@@ -516,13 +513,7 @@ void stopProfiler() {
 
 void drainSamplesNow() { drainPass(); }
 
-void injectSampleForTest(uint64_t pc) noexcept {
-  {
-    std::lock_guard<std::mutex> lock(g_ctlMu);
-    ensureRings();
-  }
-  pushSample(pc);
-}
+void injectSampleForTest(uint64_t pc) noexcept { pushSample(pc); }
 
 ProfileSnapshot profileSnapshot() {
   drainPass();

@@ -1,10 +1,15 @@
 // Specialization cache tests: single-flight deduplication across threads,
 // LRU eviction under a byte budget (with outstanding handles surviving),
-// content-sensitive keying, and asynchronous install through SpecManager.
+// content-sensitive keying, per-entry footprint, and asynchronous install
+// through SpecManager.
 #include <gtest/gtest.h>
+#include <malloc.h>
+#include <stdlib.h>
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -314,6 +319,92 @@ TEST(TelemetryMirror, CapiSnapshotAgreesWithCacheStats) {
             after.misses - before.misses);
   EXPECT_EQ(after.misses - before.misses, 1u);
   EXPECT_EQ(after.hits - before.hits, 1u);
+}
+
+// Two-way branch on an unknown argument: its specializations carry more
+// than one block.
+__attribute__((noinline)) int64_t pickSide(int64_t k, int64_t x) {
+  if (x < k) return x * 5 - k;
+  return x + k * 3;
+}
+typedef int64_t (*pickSide_t)(int64_t, int64_t);
+
+TEST(CodeCacheTest, CachedEntriesKeepOnlyFinalizedCode) {
+  constexpr int kEntries = 256;
+  const Config config = knownFirstParam();
+  const auto* fn = reinterpret_cast<const void*>(&pickSide);
+  const auto argsFor = [](int known) {
+    return std::vector<ArgValue>{
+        ArgValue::fromInt(static_cast<uint64_t>(known)), ArgValue::fromInt(0)};
+  };
+  const auto buildAll = [&](SpecManager& manager) {
+    std::vector<CodeHandle> held;
+    for (int i = 0; i < kEntries; ++i) {
+      auto built = manager.rewrite(config, PassOptions{}, fn, argsFor(i));
+      if (!built.ok()) {
+        ADD_FAILURE() << "key " << i << ": " << built.error().message();
+        break;
+      }
+      EXPECT_EQ(reinterpret_cast<pickSide_t>(built->entry())(i, 1000),
+                pickSide(i, 1000));
+      held.push_back(std::move(*built));
+    }
+    return held;
+  };
+
+  // Reference block counts: the trace and passes a rewrite runs, counted
+  // before emit. This also warms process-wide state (telemetry, decoder
+  // caches), as does the throwaway manager below, so the heap growth
+  // measured next is the cached entries' own.
+  uint64_t expectedBlocks = 0;
+  for (int i = 0; i < kEntries; ++i) {
+    Tracer tracer(config);
+    auto captured = tracer.trace(reinterpret_cast<uint64_t>(fn), argsFor(i));
+    ASSERT_TRUE(captured.ok()) << captured.error().message();
+    runPasses(*captured, PassOptions{});
+    expectedBlocks += static_cast<uint64_t>(captured->blockCount());
+  }
+  EXPECT_GT(expectedBlocks, static_cast<uint64_t>(kEntries));
+  {
+    SpecManager warmup;
+    ASSERT_TRUE(warmup.rewrite(config, PassOptions{}, fn, argsFor(-1)).ok());
+  }
+
+  // A cached entry holds its finalized code and stats, not the captured
+  // IR (and its trace arena) it was emitted from.
+  SpecManager manager;
+  const size_t heapBefore = mallinfo2().uordblks;
+  std::vector<CodeHandle> held = buildAll(manager);
+  const size_t heapAfter = mallinfo2().uordblks;
+  ASSERT_EQ(held.size(), static_cast<size_t>(kEntries));
+  const size_t growth = heapAfter > heapBefore ? heapAfter - heapBefore : 0;
+  EXPECT_LT(growth, static_cast<size_t>(kEntries) * 8192)
+      << growth / kEntries << " heap bytes per cached entry";
+  EXPECT_EQ(manager.cache().stats().entries, static_cast<uint64_t>(kEntries));
+  EXPECT_EQ(manager.cache().stats().blocksLive, expectedBlocks);
+
+  // Persisted units keep the same block count: written by one manager,
+  // reloaded from disk by another.
+  char dirTemplate[] = "/tmp/brew-cache-test-XXXXXX";
+  ASSERT_NE(::mkdtemp(dirTemplate), nullptr);
+  SpecManager::Options persistent;
+  persistent.cacheDir = dirTemplate;
+  {
+    SpecManager writer{persistent};
+    held = buildAll(writer);
+    const CacheStats stats = writer.cache().stats();
+    EXPECT_EQ(stats.persistWrites, static_cast<uint64_t>(kEntries));
+    EXPECT_EQ(stats.blocksLive, expectedBlocks);
+  }
+  {
+    SpecManager reader{persistent};
+    held = buildAll(reader);
+    const CacheStats stats = reader.cache().stats();
+    EXPECT_EQ(stats.persistHits, static_cast<uint64_t>(kEntries));
+    EXPECT_EQ(stats.blocksLive, expectedBlocks);
+  }
+  held.clear();
+  std::filesystem::remove_all(persistent.cacheDir);
 }
 
 TEST(SpecManagerAsync, FailedAsyncKeepsOriginalEntry) {

@@ -319,7 +319,7 @@ TEST_P(MemDifferentialFuzz, RewrittenAgreesWithOriginal) {
         ASSERT_EQ(scratch1[i], scratch2[i])
             << "memory side effects differ at slot " << i << " (seed "
             << GetParam() << " trial " << trial << ")\n"
-            << rewritten->dumpCaptured();
+            << rewritten->disassembly();
     }
   }
 }
@@ -327,12 +327,21 @@ TEST_P(MemDifferentialFuzz, RewrittenAgreesWithOriginal) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MemDifferentialFuzz,
                          ::testing::Values(7, 14, 28, 56, 112, 224, 448, 896));
 
+// The emitted unit: code, int3 padding and literal pool.
+std::vector<uint8_t> emittedBytes(const RewrittenFunction& rewritten) {
+  const auto* begin = static_cast<const uint8_t*>(rewritten.entry());
+  const ir::EmitStats& stats = rewritten.emitStats();
+  return {begin, begin + stats.codeBytes + stats.poolBytes};
+}
+
 // Concurrency variant (`concurrency` ctest label, TSan via
 // scripts/check_telemetry.sh): several threads fuzz the SAME seeds through
 // one sharded SpecManager. Specialization must be deterministic — every
-// thread gets the same captured IR as a single-shard reference rewrite, no
-// matter which thread traced first or which shard held the entry — and
-// per-key single-flight must hold across shards (one miss per subject per
+// thread gets the same emitted bytes (code + literal pool) as a
+// single-shard reference rewrite, no matter which thread traced first or
+// which shard held the entry. The unit is position independent apart from
+// absolute targets into the same originals, so its bytes compare exactly.
+// Per-key single-flight must hold across shards (one miss per subject per
 // round, all threads sharing one entry pointer).
 TEST(ConcurrentDifferentialFuzz, SameSeedsSameCapturedBytesAcrossThreads) {
   constexpr int kThreads = 4;
@@ -347,7 +356,7 @@ TEST(ConcurrentDifferentialFuzz, SameSeedsSameCapturedBytesAcrossThreads) {
     uint64_t baked1 = 0;
     bool know0 = false;
     bool know1 = false;
-    std::string refCaptured;
+    std::vector<uint8_t> refBytes;
   };
 
   // Reference captures from a single-shard (pre-sharding-behavior) manager.
@@ -369,7 +378,7 @@ TEST(ConcurrentDifferentialFuzz, SameSeedsSameCapturedBytesAcrossThreads) {
     auto rewritten = ref.rewrite(s.code.data(), s.baked0, s.baked1);
     ASSERT_TRUE(rewritten.ok())
         << "seed " << seed << ": " << rewritten.error().message();
-    s.refCaptured = rewritten->dumpCaptured();
+    s.refBytes = emittedBytes(*rewritten);
     subjects.push_back(std::move(s));
   }
 
@@ -398,9 +407,9 @@ TEST(ConcurrentDifferentialFuzz, SameSeedsSameCapturedBytesAcrossThreads) {
               << "seed " << seeds[idx] << " thread " << t << " round "
               << round << ": " << rewritten.error().message();
           entries[static_cast<size_t>(t)][idx] = rewritten->entry();
-          EXPECT_EQ(rewritten->dumpCaptured(), s.refCaptured)
+          EXPECT_EQ(emittedBytes(*rewritten), s.refBytes)
               << "seed " << seeds[idx] << " thread " << t << " round "
-              << round << ": captured IR depends on thread/shard";
+              << round << ": emitted code depends on thread/shard";
           auto original = s.code.entry<fn_t>();
           auto specialized = rewritten->as<fn_t>();
           for (int call = 0; call < 4; ++call) {

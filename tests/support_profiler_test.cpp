@@ -170,6 +170,15 @@ TEST(Profiler, ConcurrentInjectRegisterDrainHammer) {
   constexpr int kThreads = 8;
   constexpr int kIters = 4000;
   alignas(16) static uint8_t arena[kThreads][64];
+  // Aggregates are process-wide: count only this run's samples, so the
+  // test also holds under --gtest_repeat.
+  const auto hammeredSamples = [] {
+    uint64_t samples = 0;
+    for (const auto& e : prof::profileSnapshot().entries)
+      if (e.name.rfind("hammer_", 0) == 0) samples += e.samples;
+    return samples;
+  };
+  const uint64_t hammeredBefore = hammeredSamples();
 
   std::atomic<bool> go{false};
   std::vector<std::thread> pool;
@@ -206,10 +215,7 @@ TEST(Profiler, ConcurrentInjectRegisterDrainHammer) {
   pool.back().join();
   prof::drainSamplesNow();
 
-  const prof::ProfileSnapshot snap = prof::profileSnapshot();
-  uint64_t hammered = 0;
-  for (const auto& e : snap.entries)
-    if (e.name.rfind("hammer_", 0) == 0) hammered += e.samples;
+  const uint64_t hammered = hammeredSamples() - hammeredBefore;
   // Every injected sample is either attributed or counted as dropped
   // (rings are finite and drains race the injectors).
   EXPECT_GT(hammered, 0u);
