@@ -1,53 +1,29 @@
 #!/bin/sh
-# Fails if in-repo code still calls the deprecated v1 void* C API
-# (brew_rewrite / brew_release / brew_getstats). The shim is compiled only
-# under -DBREW_ENABLE_V1_API=ON; the only allowed spellings are the shim's
-# own declaration/implementation (both #ifdef-gated) and the v1 test binary
-# that pins the shim's behavior when that option is on.
-# brew_rewrite2 / brew_release_h / brew_func_getstats do not match.
+# Polices the public C API surface (src/core/brew.h):
+#  - every brew_* function declared there is called from at least one file
+#    under tests/, so no public entry point ships untested;
+#  - the persistence symbols are both declared and implemented;
+#  - BREW_CACHE_DIR is parsed in exactly one place.
 set -eu
 cd "$(dirname "$0")/.."
 
-offenders=$(grep -rnE '(^|[^_[:alnum:]])brew_(rewrite|release)[[:space:]]*\(' \
-    src examples bench tests stencil 2>/dev/null \
-  | grep -v '^src/core/brew\.h:' \
-  | grep -v '^src/core/brew_c\.cpp:' \
-  | grep -v '^tests/core_capi_v1_test\.cpp:' \
-  || true)
-
-if [ -n "$offenders" ]; then
-  echo "deprecated v1 brew_rewrite/brew_release calls found:" >&2
-  echo "$offenders" >&2
-  echo "use brew_rewrite2 + brew_func_entry / brew_release_h instead" >&2
-  exit 1
-fi
-
-# Same rule for the conf-scoped stats getter: new code should read stats
-# from the handle (brew_func_getstats) or the process-wide telemetry
-# registry (brew_telemetry_snapshot), not the last-writer-wins conf slot.
-stats_offenders=$(grep -rnE '(^|[^_[:alnum:]])brew_getstats[[:space:]]*\(' \
-    src examples bench tests stencil 2>/dev/null \
-  | grep -v '^src/core/brew\.h:' \
-  | grep -v '^src/core/brew_c\.cpp:' \
-  | grep -v '^tests/core_capi_v1_test\.cpp:' \
-  || true)
-
-if [ -n "$stats_offenders" ]; then
-  echo "deprecated brew_getstats calls found:" >&2
-  echo "$stats_offenders" >&2
-  echo "use brew_func_getstats or brew_telemetry_snapshot instead" >&2
-  exit 1
-fi
-
-# The gated sections themselves must stay inside the #ifdef so a default
-# build exports no v1 symbols at all.
-for f in src/core/brew.h src/core/brew_c.cpp; do
-  if grep -qE '(^|[^_[:alnum:]])brew_rewrite[[:space:]]*\(' "$f" \
-      && ! grep -q 'BREW_ENABLE_V1_API' "$f"; then
-    echo "$f declares v1 symbols without a BREW_ENABLE_V1_API gate" >&2
-    exit 1
+# Every declared function needs a test caller. Declarations are the
+# identifiers directly followed by "(" on non-comment lines of the header;
+# a call is such an identifier on a non-comment line of a test file.
+comment='^[[:space:]]*(//|/?\*)'
+untested=""
+for sym in $(grep -vE "$comment" src/core/brew.h \
+    | grep -oE '(^|[^_[:alnum:]])brew_[_[:alnum:]]+[[:space:]]*\(' \
+    | grep -oE 'brew_[_[:alnum:]]+' | sort -u); do
+  if ! grep -rhE "(^|[^_[:alnum:]])$sym[[:space:]]*\(" tests \
+      | grep -qvE "$comment"; then
+    untested="$untested $sym"
   fi
 done
+if [ -n "$untested" ]; then
+  echo "brew.h functions with no caller under tests/:$untested" >&2
+  exit 1
+fi
 
 # Persistence C API: the declared surface is exactly
 # brew_options_set_cache_dir + brew_persist_stats/brew_getpersiststats.
@@ -78,5 +54,5 @@ if [ -n "$cache_env_offenders" ]; then
   exit 1
 fi
 
-echo "no deprecated v1 API callers outside the gated shim"
+echo "every brew.h function has a caller under tests/"
 echo "persistence API surface intact (set_cache_dir/getpersiststats)"

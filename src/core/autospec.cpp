@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/guard.hpp"
 #include "core/spec_manager.hpp"
 #include "jit/assembler.hpp"
 #include "support/log.hpp"

@@ -18,8 +18,6 @@
  * (see brew_getcachestats). Runtime knobs (worker count, cache budget,
  * shard count, variant limits) enter through ONE object — brew_options +
  * brew_configure — with environment variables as documented fallbacks.
- * The v1 void* surface (brew_rewrite / brew_release) is retired: it is
- * compiled only when the library is built with -DBREW_ENABLE_V1_API=ON.
  *
  * Parameter indices are 1-based like in the paper. Rewriting failure is not
  * catastrophic: brew_rewrite2 returns NULL and the caller keeps using the
@@ -66,7 +64,7 @@ brew_conf* brew_initConf(void);
 void brew_freeConf(brew_conf* conf);
 
 /* Total number of parameters of functions rewritten with this conf.
- * brew_rewrite reads exactly this many variadic arguments. */
+ * brew_rewrite2 reads exactly this many variadic arguments. */
 void brew_setnpar(brew_conf* conf, int count);
 
 /* Declare parameter `index` (1-based) known/unknown (BREW_KNOWN...). */
@@ -78,7 +76,7 @@ void brew_setpar(brew_conf* conf, int index, int state);
 void brew_setpar_ptr(brew_conf* conf, int index, size_t size);
 
 /* Declare parameter `index` an SSE-class (double) argument. Needed so the
- * variadic arguments of brew_rewrite are read with the right type and
+ * variadic arguments of brew_rewrite2 are read with the right type and
  * assigned to the right ABI register. */
 void brew_setpar_double(brew_conf* conf, int index, int state);
 
@@ -381,7 +379,7 @@ size_t brew_func_variants(const void* fn, brew_func_variant* out, size_t cap);
 /* The runtime keeps a registry of counters, gauges and two-level
  * HDR-style histograms (log2 major / linear minor buckets, so p50/p99/p999
  * resolve to ~6%) covering the whole rewrite pipeline (trace, passes,
- * emit, install, cache, guards, executable memory). Names are stable
+ * emit, install, cache, dispatch, executable memory). Names are stable
  * dotted identifiers ("cache.hits", "phase.emit_ns", ...). The cache
  * counters here and brew_getcachestats() are two views over the same
  * events.
@@ -472,8 +470,9 @@ typedef struct brew_profile {
   brew_profile_entry entries[BREW_PROFILE_MAX_ENTRIES];
 } brew_profile;
 
-/* Starts sampling at `hz` (clamped to [1, 10000]). Returns 0 on success,
- * -1 if already running or the timer could not be armed. */
+/* Starts sampling at `hz` (clamped to [1, 10000]). Returns 0 on success
+ * and when already running (the running rate is kept), -1 if the timer
+ * could not be armed. */
 int brew_profile_start(int hz);
 /* Stops the timer and drains outstanding samples. Safe when not running. */
 void brew_profile_stop(void);
@@ -488,29 +487,6 @@ int brew_profile_write_json(const char* path);
  * each other); "" after a successful rewrite or when this thread never
  * failed. */
 const char* brew_lastError(const brew_conf* conf);
-
-/* ---- v1 compatibility shim (RETIRED) --------------------------------- */
-
-/* The v1 void* surface is compiled only when the library was built with
- * -DBREW_ENABLE_V1_API=ON; by default these symbols do not exist. In-tree
- * code must not call them (scripts/check_api_shims.sh enforces it). */
-#ifdef BREW_ENABLE_V1_API
-
-/* DEPRECATED: v1 spelling of brew_rewrite2. Returns the raw entry pointer
- * and tracks the handle internally so brew_release can find it. Prefer
- * brew_rewrite2 + brew_func_entry; this shim stays for source
- * compatibility with the paper's figures. */
-void* brew_rewrite(brew_conf* conf, const void* fn, ...);
-
-/* DEPRECATED: releases the handle behind a pointer returned by
- * brew_rewrite. Prefer brew_release_h. */
-void brew_release(void* rewritten);
-
-/* DEPRECATED: statistics of the most recent successful rewrite on this
- * conf (any thread; last writer wins). Prefer brew_func_getstats. */
-void brew_getstats(const brew_conf* conf, brew_stats* out);
-
-#endif /* BREW_ENABLE_V1_API */
 
 #ifdef __cplusplus
 } /* extern "C" */

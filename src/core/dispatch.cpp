@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 
-#include "core/guard.hpp"
 #include "jit/assembler.hpp"
 #include "support/flight_recorder.hpp"
 #include "support/log.hpp"
@@ -19,6 +19,37 @@ using isa::MemOperand;
 using isa::Mnemonic;
 using isa::Operand;
 using isa::Reg;
+
+void emitPreservedHookCall(jit::Assembler& as, Reg keyReg,
+                           const void* context, const void* hook,
+                           bool stageResult) {
+  const Reg saved[] = {Reg::rdi, Reg::rsi, Reg::rdx, Reg::rcx,
+                       Reg::r8, Reg::r9, Reg::rax};
+  // Entry rsp ≡ 8 (mod 16); 7 pushes make it ≡ 0 — aligned for the call.
+  for (Reg r : saved)
+    as.emit(makeInstr(Mnemonic::Push, 8, Operand::makeReg(r)));
+  // SSE argument registers may carry live doubles.
+  as.emit(makeInstr(Mnemonic::Sub, 8, Operand::makeReg(Reg::rsp),
+                    Operand::makeImm(128)));
+  for (int i = 0; i < 8; ++i)
+    as.emit(makeInstr(Mnemonic::Movups, 16,
+                      Operand::makeMem(MemOperand{.base = Reg::rsp,
+                                                  .disp = i * 16}),
+                      Operand::makeReg(isa::xmmFromNum(i))));
+  if (keyReg != Reg::rdi) as.movRegReg(Reg::rdi, keyReg);
+  as.movRegImm(Reg::rsi, static_cast<int64_t>(
+                             reinterpret_cast<uintptr_t>(context)));
+  as.callAbs(reinterpret_cast<uint64_t>(hook));
+  if (stageResult) as.movRegReg(Reg::r11, Reg::rax);
+  for (int i = 0; i < 8; ++i)
+    as.emit(makeInstr(Mnemonic::Movups, 16, Operand::makeReg(isa::xmmFromNum(i)),
+                      Operand::makeMem(MemOperand{.base = Reg::rsp,
+                                                  .disp = i * 16})));
+  as.emit(makeInstr(Mnemonic::Add, 8, Operand::makeReg(Reg::rsp),
+                    Operand::makeImm(128)));
+  for (auto it = std::rbegin(saved); it != std::rend(saved); ++it)
+    as.emit(makeInstr(Mnemonic::Pop, 8, Operand::makeReg(*it)));
+}
 
 static_assert(std::is_standard_layout_v<IcRecord>,
               "the generated stub reads IcRecord fields by offset");

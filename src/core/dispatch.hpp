@@ -50,8 +50,25 @@
 #include <vector>
 
 #include "core/spec_manager.hpp"
+#include "isa/registers.hpp"
 
 namespace brew {
+
+namespace jit {
+class Assembler;
+}
+
+// Emits an ABI-transparent call to `hook(uint64_t key, void* context)` into
+// `as`: preserves the integer argument registers, rax and xmm0-7 on the
+// stack (keeping the call aligned), moves `keyReg` into rdi and `context`
+// into rsi, calls the hook, restores everything. When `stageResult` is set
+// the hook's return value survives the restore in r11 — the one scratch
+// register the dispatch protocol may clobber — so the caller can tail-jump
+// through it. Shared by the inline-cache miss path and the AutoSpecializer
+// sampling proxy (core/autospec.cpp).
+void emitPreservedHookCall(jit::Assembler& as, isa::Reg keyReg,
+                           const void* context, const void* hook,
+                           bool stageResult);
 
 // One live variant. The first three fields are ABI with the generated
 // stub: key at +0 (cmp), target at +8 (jmp), hits at +16 (inc). The hit

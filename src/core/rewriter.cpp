@@ -167,7 +167,6 @@ Result<CodeHandle> compileSpecialization(const Config& config,
   const uint64_t shadowNs = ts.shadowNs < traceWindow - decodeNs
                                 ? ts.shadowNs
                                 : traceWindow - decodeNs;
-  histogram(HistogramId::PhaseEmulateDecodeNs).record(decodeNs);
   histogram(HistogramId::PhaseEmulateShadowNs).record(shadowNs);
   histogram(HistogramId::PhaseEmulateExecNs)
       .record(traceWindow - decodeNs - shadowNs);

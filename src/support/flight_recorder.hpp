@@ -1,5 +1,5 @@
 // Flight recorder: a fixed-size, process-wide ring of the last runtime
-// events (installs, evictions, epoch bumps, guard failures, code
+// events (installs, evictions, epoch bumps, variant failures, code
 // mutations). Hot paths append with a relaxed fetch_add plus relaxed
 // stores — no locks, no allocation — so recording is cheap enough to leave
 // on unconditionally. The crash handler dumps the tail of the ring so a
@@ -24,7 +24,6 @@ enum class Event : uint32_t {
   DispatchDemote,    // a=fn, b=key
   DispatchEpochBump, // a=fn, b=new epoch
   DispatchVariantFail,  // a=fn, b=key
-  GuardFail,         // a=fn
   CodeMutation,      // a=base, b=size
   ProfilerStart,     // a=hz
   ProfilerStop,      // a=total samples

@@ -1,7 +1,7 @@
 // In-process observability for runtime-generated code (paper §VIII):
 //
 //  - A CODE-REGION INDEX: every generated blob (specialization, dispatch
-//    stub, guard, entry trampoline) registers its [base, base+size) range,
+//    stub, sampler, entry trampoline) registers its [base, base+size) range,
 //    provenance name and config fingerprint. Lookup is async-signal-safe
 //    (seqlock-published slots, no locks, no allocation) so both the SIGPROF
 //    sampler and the crash handler can attribute a PC from signal context.

@@ -75,9 +75,6 @@ constexpr const char* kCounterNames[] = {
     "decode.cache_hits",
     "decode.cache_misses",
     "decode.cache_flushes",
-    "guard.variants_built",
-    "guard.variant_failures",
-    "guard.dispatches_built",
     "dispatch.table_hits",
     "dispatch.misses",
     "dispatch.promotions",
@@ -112,7 +109,6 @@ static_assert(sizeof kGaugeNames / sizeof kGaugeNames[0] ==
 constexpr const char* kHistogramNames[] = {
     "phase.decode_ns",
     "phase.emulate_ns",
-    "phase.emulate_decode_ns",
     "phase.emulate_exec_ns",
     "phase.emulate_shadow_ns",
     "phase.passes_ns",

@@ -21,6 +21,17 @@ __attribute__((noinline)) double scale(double x, double factor) {
 }
 typedef double (*scale_t)(double, double);
 
+__attribute__((noinline)) void copyInc(const int64_t* src, int64_t* dst) {
+  *dst = *src + 1;
+}
+typedef void (*copyInc_t)(const int64_t*, int64_t*);
+
+uint64_t g_entries = 0, g_exits = 0, g_loads = 0, g_stores = 0;
+void onEntry(uint64_t) { ++g_entries; }
+void onExit(uint64_t) { ++g_exits; }
+void onLoad(uint64_t) { ++g_loads; }
+void onStore(uint64_t) { ++g_stores; }
+
 // One release per handle; helper for the Figure tests, which only care
 // about the entry pointer.
 void* rewriteEntry(brew_conf* conf, const void* fn, brew_func** out,
@@ -157,6 +168,38 @@ TEST(CApi, FailureReportsMessage) {
   EXPECT_EQ(result, nullptr);
   EXPECT_NE(std::string(brew_lastError(conf)).find("Undecodable"),
             std::string::npos);
+  brew_freeConf(conf);
+}
+
+// §III-D injection through the C API: the handlers fire in the rewritten
+// variant only; the original stays uninstrumented.
+TEST(CApi, InjectionHandlersFire) {
+  brew_conf* conf = brew_initConf();
+  brew_setnpar(conf, 2);
+  brew_setret(conf, BREW_RET_VOID);
+  brew_set_entry_handler(conf, &onEntry);
+  brew_set_exit_handler(conf, &onExit);
+  brew_set_load_handler(conf, &onLoad);
+  brew_set_store_handler(conf, &onStore);
+  brew_func* h = brew_rewrite2(conf, (void*)copyInc, (uint64_t)0, (uint64_t)0);
+  ASSERT_NE(h, nullptr) << brew_lastError(conf);
+
+  int64_t src = 41, dst = 0;
+  ((copyInc_t)brew_func_entry(h))(&src, &dst);
+  EXPECT_EQ(dst, 42);
+  EXPECT_EQ(g_entries, 1u);
+  EXPECT_EQ(g_exits, 1u);
+  EXPECT_GE(g_loads, 1u);
+  EXPECT_GE(g_stores, 1u);
+
+  const uint64_t loads = g_loads, stores = g_stores;
+  copyInc(&src, &dst);
+  EXPECT_EQ(dst, 42);
+  EXPECT_EQ(g_entries, 1u);
+  EXPECT_EQ(g_exits, 1u);
+  EXPECT_EQ(g_loads, loads);
+  EXPECT_EQ(g_stores, stores);
+  brew_release_h(h);
   brew_freeConf(conf);
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/brew.h"
+#include "core/dispatch.hpp"
 
 namespace {
 
@@ -23,11 +24,18 @@ TEST(CApiOptions, NullAndBogusValuesAreSafe) {
   brew_options_set_sample_calls(nullptr, 1);
   brew_options_set_decay_interval(nullptr, 1);
   brew_options_set_async_specialize(nullptr, 1);
+  brew_options_set_profile_hz(nullptr, 97);
+  brew_options_set_profile_guided(nullptr, 1);
 }
 
 // One ordered test so configuration provably precedes first use and the
 // freeze provably follows it.
 TEST(CApiOptions, ConfigureShapesTheProcessRuntimeThenFreezes) {
+  // Probe at another rate first, so a profiler found running at 97 Hz
+  // below was started by the runtime from the configured option.
+  const bool canArm = brew_profile_start(101) == 0;
+  brew_profile_stop();
+
   brew_options* options = brew_options_init();
   ASSERT_NE(options, nullptr);
   brew_options_set_workers(options, 1);
@@ -38,6 +46,8 @@ TEST(CApiOptions, ConfigureShapesTheProcessRuntimeThenFreezes) {
   brew_options_set_sample_calls(options, 4);
   brew_options_set_decay_interval(options, 16);
   brew_options_set_async_specialize(options, 0);
+  brew_options_set_profile_hz(options, 97);
+  brew_options_set_profile_guided(options, 1);
 
   // Before first use: accepted, and a second call overwrites wholesale.
   EXPECT_EQ(brew_configure(options), 0);
@@ -58,6 +68,11 @@ TEST(CApiOptions, ConfigureShapesTheProcessRuntimeThenFreezes) {
   brew_getcachestats(&cache);
   EXPECT_EQ(cache.shards, 1u);                  // configured, not env/default
   EXPECT_EQ(cache.capacity_bytes, 8u << 20);
+  if (canArm) {
+    brew_profile profile;
+    brew_profile_snapshot(&profile);
+    EXPECT_EQ(profile.hz, 97);
+  }
 
   // The dispatcher inherits the configured variant budget (3) even when
   // more keys are hot.
@@ -72,6 +87,18 @@ TEST(CApiOptions, ConfigureShapesTheProcessRuntimeThenFreezes) {
     for (int key = 1; key <= 5; ++key)
       ASSERT_EQ(entry(key, round), addmul(key, round));
   EXPECT_LE(brew_dispatch_variant_count(d), 3u);
+
+  // Profile-guided dispatch is on: a CPU sample inside a live variant
+  // credits that variant (without the option it is ignored).
+  for (int i = 0; i < 64; ++i) ASSERT_EQ(entry(2, i), addmul(2, i));
+  brew_func_variant variant;
+  ASSERT_GE(brew_func_variants((void*)addmul, &variant, 1), 1u);
+  bool credited = false;
+  EXPECT_TRUE(brew::VariantDispatcher::withDispatcher(
+      (void*)addmul, [&](brew::VariantDispatcher& dispatcher) {
+        credited = dispatcher.absorbProfileSamples(variant.entry, 1);
+      }));
+  EXPECT_TRUE(credited);
   brew_dispatch_free(d);
   brew_freeConf(dconf);
 
@@ -80,6 +107,7 @@ TEST(CApiOptions, ConfigureShapesTheProcessRuntimeThenFreezes) {
   EXPECT_EQ(brew_configure(late), -1);
   brew_options_free(late);
   brew_freeConf(conf);
+  brew_profile_stop();
 }
 
 }  // namespace

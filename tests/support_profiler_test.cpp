@@ -1,8 +1,8 @@
 // Sampling profiler + code-region index (support/profiler.hpp): region
 // CRUD and seqlock lookup, deterministic sample attribution through the
 // injection hook, the real SIGPROF path, concurrent register/inject/drain
-// hammering (runs under the concurrency label and the TSan sweep), and the
-// JSON exporter.
+// hammering (runs under the concurrency label and the TSan sweep), the
+// JSON exporter, and the brew_profile_* C wrappers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +15,9 @@
 
 #include <unistd.h>
 
+#include "core/brew.h"
 #include "jit/assembler.hpp"
+#include "json_check.hpp"
 #include "support/profiler.hpp"
 
 namespace brew {
@@ -161,6 +163,49 @@ TEST(Profiler, WriteJsonShape) {
   // tmp+rename export: no leftover temporary.
   EXPECT_EQ(readFile(path + ".tmp"), "");
   std::remove(path.c_str());
+  prof::unregisterCodeRegion(blob, sizeof blob);
+}
+
+// The C wrappers drive the same profiler: start, real ticks, stop,
+// snapshot with attribution, and a JSON export that parses.
+TEST(Profiler, CApiRoundTrip) {
+  if (brew_profile_start(499) != 0) GTEST_SKIP() << "cannot arm ITIMER_PROF";
+  EXPECT_EQ(brew_profile_start(97), 0);  // already running: rate kept
+  alignas(16) static const uint8_t blob[32] = {0xc3};
+  prof::registerCodeRegion(blob, sizeof blob, "capi_region", 9);
+  for (int i = 0; i < 3; ++i)
+    prof::injectSampleForTest(reinterpret_cast<uint64_t>(blob) + 1);
+  brew_profile before;
+  brew_profile_snapshot(&before);
+  volatile uint64_t sink = 0;
+  brew_profile during = before;
+  for (int spin = 0; spin < 200 && during.total_samples <= before.total_samples;
+       ++spin) {
+    for (uint64_t i = 0; i < 400000; ++i) sink = sink + i * 2654435761u;
+    brew_profile_snapshot(&during);
+  }
+  brew_profile_stop();
+  EXPECT_FALSE(prof::profilerRunning());
+
+  brew_profile after;
+  brew_profile_snapshot(&after);
+  EXPECT_EQ(after.hz, 499);
+  EXPECT_GT(after.total_samples, before.total_samples)
+      << "no SIGPROF tick despite sustained CPU burn";
+  uint64_t regionSamples = 0;
+  for (size_t i = 0; i < after.entry_count; ++i)
+    if (std::strcmp(after.entries[i].name, "capi_region") == 0)
+      regionSamples = after.entries[i].samples;
+  EXPECT_GE(regionSamples, 3u);
+
+  const std::string path = tmpPath("brew_profile_capi_test");
+  ASSERT_EQ(brew_profile_write_json(path.c_str()), 0);
+  const std::string json = readFile(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(isValidJson(json)) << json;
+  EXPECT_NE(json.find("capi_region"), std::string::npos);
+  EXPECT_EQ(brew_profile_write_json(nullptr), -1);
+  brew_profile_snapshot(nullptr);  // no-op
   prof::unregisterCodeRegion(blob, sizeof blob);
 }
 

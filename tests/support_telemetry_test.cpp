@@ -1,6 +1,6 @@
 // Telemetry registry and phase-tracing tests: instrument correctness,
 // multi-threaded increments, trace-event JSON export (well-formed, spans
-// nest), the metrics JSON exporter, and the brew_telemetry_* C API view.
+// nest), the metrics JSON exporter, and the brew_telemetry_* C API.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,6 +12,7 @@
 #include "core/brew.h"
 #include "core/rewriter.hpp"
 #include "jit/assembler.hpp"
+#include "json_check.hpp"
 #include "support/telemetry.hpp"
 
 namespace brew::telemetry {
@@ -136,9 +137,10 @@ TEST(TelemetryHistogram, RecordAggregates) {
   EXPECT_EQ(h.max(), 0u);
 }
 
-// The rewriter splits the trace window into emulate_decode/exec/shadow;
-// by construction the three parts sum exactly to the decode+emulate whole
-// (same stamps, same clock), per rewrite and therefore over any number of
+// The rewriter splits the trace window into decode/exec/shadow: decode is
+// phase.decode_ns, and exec + shadow add up to phase.emulate_ns. By
+// construction decode+emulate equals decode+exec+shadow exactly (same
+// stamps, same clock), per rewrite and therefore over any number of
 // rewrites. Histogram sums are exact (only buckets are approximate), so
 // the deltas must match to the nanosecond.
 TEST(TelemetryPhases, EmulateSplitSumsToWhole) {
@@ -150,14 +152,13 @@ TEST(TelemetryPhases, EmulateSplitSumsToWhole) {
   auto fn = as.finalizeExecutable();
   ASSERT_TRUE(fn.ok()) << fn.error().message();
 
-  Histogram& whole0 = histogram(HistogramId::PhaseDecodeNs);
-  Histogram& whole1 = histogram(HistogramId::PhaseEmulateNs);
-  Histogram& partDecode = histogram(HistogramId::PhaseEmulateDecodeNs);
+  Histogram& decode = histogram(HistogramId::PhaseDecodeNs);
+  Histogram& emulate = histogram(HistogramId::PhaseEmulateNs);
   Histogram& partExec = histogram(HistogramId::PhaseEmulateExecNs);
   Histogram& partShadow = histogram(HistogramId::PhaseEmulateShadowNs);
-  const uint64_t wholeSum = whole0.sum() + whole1.sum();
-  const uint64_t partSum = partDecode.sum() + partExec.sum() + partShadow.sum();
-  const uint64_t partCount = partDecode.count();
+  const uint64_t wholeSum = decode.sum() + emulate.sum();
+  const uint64_t partSum = decode.sum() + partExec.sum() + partShadow.sum();
+  const uint64_t decodeCount = decode.count();
 
   constexpr int kRewrites = 5;
   for (int i = 0; i < kRewrites; ++i) {
@@ -167,12 +168,13 @@ TEST(TelemetryPhases, EmulateSplitSumsToWhole) {
     EXPECT_EQ(rewritten->as<int64_t (*)(int64_t)>()(3), 24);
   }
 
-  EXPECT_EQ(partDecode.count() - partCount, uint64_t{kRewrites});
-  EXPECT_EQ(partExec.count(), partDecode.count());
-  EXPECT_EQ(partShadow.count(), partDecode.count());
-  const uint64_t wholeDelta = whole0.sum() + whole1.sum() - wholeSum;
+  EXPECT_EQ(decode.count() - decodeCount, uint64_t{kRewrites});
+  EXPECT_EQ(emulate.count(), decode.count());
+  EXPECT_EQ(partExec.count(), decode.count());
+  EXPECT_EQ(partShadow.count(), decode.count());
+  const uint64_t wholeDelta = decode.sum() + emulate.sum() - wholeSum;
   const uint64_t partDelta =
-      partDecode.sum() + partExec.sum() + partShadow.sum() - partSum;
+      decode.sum() + partExec.sum() + partShadow.sum() - partSum;
   EXPECT_EQ(partDelta, wholeDelta);
 }
 
@@ -338,6 +340,52 @@ TEST(TelemetryCapi, SnapshotMirrorsRegistry) {
   }
   EXPECT_TRUE(found);
   EXPECT_GE(snap.histogram_count, static_cast<size_t>(HistogramId::kCount));
+}
+
+// The C exporters round-trip: tracing switched on through the C API
+// records a real rewrite, and both writers produce files that parse as
+// JSON and carry what was recorded since the reset.
+TEST(TelemetryCapi, ExportersRoundTripAsJson) {
+  counter(CounterId::RewriteAttempts).add(3);
+  brew_telemetry_reset();
+  EXPECT_EQ(counter(CounterId::RewriteAttempts).value(), 0u);
+
+  jit::Assembler as;
+  as.movRegReg(isa::Reg::rax, isa::Reg::rdi);
+  as.ret();
+  auto fn = as.finalizeExecutable();
+  ASSERT_TRUE(fn.ok()) << fn.error().message();
+  clearTrace();
+  brew_telemetry_set_tracing(1);
+  EXPECT_TRUE(tracingEnabled());
+  {
+    Rewriter rewriter{Config{}};
+    auto rewritten = rewriter.rewrite(fn->data(), 5);
+    ASSERT_TRUE(rewritten.ok()) << rewritten.error().message();
+  }
+  brew_telemetry_set_tracing(0);
+  EXPECT_FALSE(tracingEnabled());
+
+  char path[] = "/tmp/brew_capi_export_XXXXXX";
+  const int fd = mkstemp(path);
+  ASSERT_GE(fd, 0);
+  close(fd);
+  ASSERT_EQ(brew_telemetry_write_trace(path), 0);
+  std::string json = slurp(path);
+  EXPECT_TRUE(isValidJson(json)) << json;
+  double begin = 0, end = 0;
+  EXPECT_TRUE(findSpan(json, "rewrite", &begin, &end));
+  EXPECT_TRUE(findSpan(json, "emit", &begin, &end));
+
+  ASSERT_EQ(brew_telemetry_write_json(path), 0);
+  json = slurp(path);
+  std::remove(path);
+  EXPECT_TRUE(isValidJson(json)) << json;
+  EXPECT_NE(json.find("\"rewrite.attempts\": 1,"), std::string::npos);
+
+  EXPECT_EQ(brew_telemetry_write_json("/nonexistent_dir_brew/m.json"), -1);
+  EXPECT_EQ(brew_telemetry_write_trace("/nonexistent_dir_brew/t.json"), -1);
+  clearTrace();
 }
 
 }  // namespace
