@@ -3,14 +3,16 @@
 // generated which is called after a check for the parameter actually being
 // 42. Otherwise, the original function should be executed."
 //
-// A generic power kernel is called through AutoSpecializer's entry: it
-// first observes the exponent across calls, then transparently installs
-// specialized variants for the hot exponents behind a guard check.
+// A generic polynomial kernel is called through a VariantDispatcher keyed
+// on the model index: its miss path first observes the index across calls,
+// then specializes the hot models and installs them behind the inline-cache
+// check; every other model keeps running the original. Exits nonzero when
+// any result differs from the original function's.
 //
 //   $ ./autospec
 #include <cstdio>
 
-#include "core/autospec.hpp"
+#include "core/dispatch.hpp"
 #include "support/timer.hpp"
 
 using namespace brew;
@@ -40,9 +42,9 @@ __attribute__((noinline)) double evalModel(long m, double x) {
   }
   return sum;
 }
-using pow_t = double (*)(long, double);
+using model_t = double (*)(long, double);
 
-double workload(pow_t fn, int calls) {
+double workload(model_t fn, int calls) {
   // 80% of calls use model 4, 15% model 1, 5% scattered.
   double sum = 0.0;
   for (int i = 0; i < calls; ++i) {
@@ -57,50 +59,58 @@ double workload(pow_t fn, int calls) {
 }  // namespace
 
 int main() {
-  AutoSpecializer::Options options;
-  options.sampleCalls = 200;
-  options.maxVariants = 2;
-  options.minShare = 0.10;
-  AutoSpecializer spec(
-      reinterpret_cast<const void*>(&evalModel), /*paramIndex=*/0,
-      {ArgValue::fromInt(0), ArgValue::fromDouble(0.0)},
+  DispatchOptions options;
+  options.sampleCalls = 200;      // observe this many calls before deciding
+  options.maxVariants = 2;        // specialize at most two hot models
+  options.promoteThreshold = 16;  // a model needs this many sampled calls
+  VariantDispatcher dispatcher(
+      SpecManager::process(), reinterpret_cast<const void*>(&evalModel),
+      /*paramIndex=*/0, {ArgValue::fromInt(0), ArgValue::fromDouble(0.0)},
       Config{}.setReturnKind(ReturnKind::Float), options);
-  auto fn = spec.as<pow_t>();
+  if (!dispatcher.valid()) {
+    std::printf("dispatch stub could not be built\n");
+    return 1;
+  }
+  auto fn = dispatcher.as<model_t>();
 
   std::printf("sampling phase (first %zu calls)...\n", options.sampleCalls);
   workload(fn, 256);
-  std::printf("observed histogram:");
-  for (const auto& [value, count] : spec.histogram())
-    std::printf("  m=%llu:%llu", static_cast<unsigned long long>(value),
-                static_cast<unsigned long long>(count));
-  std::printf("\nspecialized: %s (%zu variants)\n",
-              spec.specialized() ? "yes" : "no", spec.variantCount());
+  const DispatchStats stats = dispatcher.stats();
+  std::printf("%llu sampled misses, %zu variants:",
+              static_cast<unsigned long long>(stats.misses),
+              dispatcher.variantCount());
+  for (const VariantInfo& v : dispatcher.variants())
+    std::printf("  m=%llu (%llu B%s)", static_cast<unsigned long long>(v.key),
+                static_cast<unsigned long long>(v.codeBytes),
+                v.inlineCached ? ", inline" : "");
+  std::printf("\n");
 
   // Correctness across hot and cold values.
+  int mismatches = 0;
   const double x = 1.5;
   for (long m : {0L, 1L, 4L, 7L}) {
     const double got = fn(m, x);
     const double want = evalModel(m, x);
+    if (got != want) ++mismatches;
     std::printf("  model %ld at %.1f = %-12g %s\n", m, x, got,
                 got == want ? "(matches original)" : "MISMATCH");
   }
 
-  // Throughput: the hot-exponent loop now runs through an unrolled,
-  // multiplication-chain variant instead of the generic loop.
+  // Throughput: the hot-model loop now runs through an unrolled,
+  // constant-folded variant instead of the generic loop.
   const int calls = 2'000'000;
   Timer timer;
   double s1 = 0;
   for (int i = 0; i < calls; ++i) s1 += evalModel(4, 1.0 + 1e-9 * (i & 7));
   const double generic = timer.seconds();
   timer.reset();
-  // Steady state: fetch the dispatcher directly (one indirection less).
-  auto fast = spec.current<pow_t>();
   double s2 = 0;
-  for (int i = 0; i < calls; ++i) s2 += fast(4, 1.0 + 1e-9 * (i & 7));
+  for (int i = 0; i < calls; ++i) s2 += fn(4, 1.0 + 1e-9 * (i & 7));
   const double specialized = timer.seconds();
+  if (s1 != s2) ++mismatches;
   std::printf("\n%d calls with hot model 4: generic %.1f ms, "
               "auto-specialized %.1f ms (%.2fx)%s\n",
               calls, generic * 1e3, specialized * 1e3,
               generic / specialized, s1 == s2 ? "" : "  MISMATCH");
-  return 0;
+  return mismatches == 0 ? 0 : 1;
 }

@@ -76,6 +76,21 @@ for counter in blocks.started blocks.chained blocks.merged \
 done
 echo "blocks.* counters present in BREW_STATS"
 
+# Background specialization: an epoch bump respecializes through a worker-
+# pool batch, and every successful batch item counts as an async install —
+# zero here means the async metrics went dead again.
+stats_out=$(BREW_STATS=1 ./tests/core_dispatch_test \
+  --gtest_filter='Dispatch.EpochBumpRetiresAndRespecializes' 2>&1)
+for counter in cache.async_installs; do
+  if ! printf '%s\n' "$stats_out" | \
+      grep -E "$counter[[:space:]]+[1-9][0-9]*" > /dev/null; then
+    echo "FAIL: $counter missing or zero in BREW_STATS output" >&2
+    printf '%s\n' "$stats_out" | grep "async" >&2 || true
+    exit 1
+  fi
+done
+echo "cache.async_installs present in BREW_STATS"
+
 # Persistent cache: a warm-start run of the persistence battery must show
 # the cache.persist_* counters moving — zero writes means nothing was
 # published, zero hits means every restart silently traced cold.

@@ -162,8 +162,6 @@ void brew_options_set_dispatch_ways(brew_options* options, size_t ways);
 void brew_options_set_sample_calls(brew_options* options, size_t calls);
 /* Resolver events between decay rounds (score halvings). */
 void brew_options_set_decay_interval(brew_options* options, uint64_t events);
-/* Compile promotion candidates on the worker pool instead of inline. */
-void brew_options_set_async_specialize(brew_options* options, int enabled);
 /* Sampling-profiler frequency in Hz (clamped to [1, 10000]; 0 disables).
  * The profiler starts with the runtime when > 0. */
 void brew_options_set_profile_hz(brew_options* options, int hz);
@@ -268,8 +266,10 @@ typedef struct brew_cache_stats {
   uint64_t entries;           /* current */
   uint64_t code_bytes;        /* current mapped bytes held by the cache */
   uint64_t capacity_bytes;    /* configured budget */
-  uint64_t async_installs;    /* asynchronous publications */
-  uint64_t async_latency_ns_total;
+  uint64_t async_installs;    /* successful worker-pool builds: batch items
+                                 (brew_rewrite_batch) and epoch-bump
+                                 respecializations */
+  uint64_t async_latency_ns_total; /* enqueue -> built, summed over them */
   uint64_t async_latency_ns_max;
   uint64_t fastpath_hits;     /* subset of hits served by the lock-free
                                  seqlock hit table (no mutex taken) */
@@ -355,7 +355,7 @@ typedef struct brew_variant_stats {
   uint64_t demotions;
   uint64_t decay_rounds;
   uint64_t epoch_bumps;
-  uint64_t pending_async;  /* candidate rewrites in flight */
+  uint64_t pending_async;  /* epoch-bump rewrites in flight */
 } brew_variant_stats;
 void brew_getvariantstats(brew_variant_stats* out);
 

@@ -232,11 +232,6 @@ void brew_options_set_decay_interval(brew_options* options, uint64_t events) {
     options->impl.dispatch.decayInterval = events;
 }
 
-void brew_options_set_async_specialize(brew_options* options, int enabled) {
-  if (options != nullptr)
-    options->impl.dispatch.asyncSpecialize = enabled != 0;
-}
-
 void brew_options_set_profile_hz(brew_options* options, int hz) {
   if (options != nullptr && hz >= 0) options->impl.profileHz = hz;
 }
@@ -303,11 +298,13 @@ brew_batch* brew_rewrite_batch(brew_conf* conf, const void* const* fns,
   std::vector<brew::ArgValue> args = readArgsV(conf, ap);
   va_end(ap);
 
+  std::vector<brew::RewriteItem> items;
+  items.reserve(count);
+  for (size_t i = 0; i < count; ++i) items.push_back({fns[i], args});
   auto* batch = new brew_batch();
   batch->conf = conf;
   batch->impl = brew::SpecManager::process().rewriteBatch(
-      conf->config, brew::PassOptions{},
-      std::span<const void* const>(fns, count), std::move(args));
+      conf->config, brew::PassOptions{}, std::move(items));
   return batch;
 }
 

@@ -548,9 +548,10 @@ void CodeCache::recordPersistWrite() {
   persistWrites_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void CodeCache::recordAsyncInstall(uint64_t latencyNs) {
+void CodeCache::recordAsyncInstall(const void* fn, uint64_t latencyNs) {
   mirror(telemetry::CounterId::CacheAsyncInstalls).add();
-  flight::record(flight::Event::AsyncInstall, 0, latencyNs);
+  flight::record(flight::Event::AsyncInstall, reinterpret_cast<uint64_t>(fn),
+                 latencyNs);
   telemetry::histogram(telemetry::HistogramId::AsyncInstallLatencyNs)
       .record(latencyNs);
   asyncInstalls_.fetch_add(1, std::memory_order_relaxed);

@@ -181,7 +181,7 @@ struct CacheStats {
   uint64_t blocksLive = 0;      // current specialized basic blocks held
   uint64_t codeBytes = 0;       // current mapped bytes held by the cache
   uint64_t capacityBytes = 0;   // configured budget
-  uint64_t asyncInstalls = 0;   // SpecManager::rewriteAsync publications
+  uint64_t asyncInstalls = 0;   // successful SpecManager::rewriteBatch items
   uint64_t asyncLatencyNsTotal = 0;
   uint64_t asyncLatencyNsMax = 0;
   uint64_t fastpathHits = 0;    // subset of hits served by the seqlock table
@@ -247,8 +247,9 @@ class CodeCache {
   // Zeroes the counters; current entries/bytes are preserved.
   void resetStats();
 
-  // Async-install accounting (reported by SpecManager).
-  void recordAsyncInstall(uint64_t latencyNs);
+  // Async-install accounting (reported by SpecManager): one successful
+  // worker-pool build of `fn`, `latencyNs` after it was enqueued.
+  void recordAsyncInstall(const void* fn, uint64_t latencyNs);
 
   // Persistent-store accounting (reported by SpecManager, which owns the
   // persist::Store; the cache just aggregates into CacheStats).

@@ -20,37 +20,6 @@ using isa::Mnemonic;
 using isa::Operand;
 using isa::Reg;
 
-void emitPreservedHookCall(jit::Assembler& as, Reg keyReg,
-                           const void* context, const void* hook,
-                           bool stageResult) {
-  const Reg saved[] = {Reg::rdi, Reg::rsi, Reg::rdx, Reg::rcx,
-                       Reg::r8, Reg::r9, Reg::rax};
-  // Entry rsp ≡ 8 (mod 16); 7 pushes make it ≡ 0 — aligned for the call.
-  for (Reg r : saved)
-    as.emit(makeInstr(Mnemonic::Push, 8, Operand::makeReg(r)));
-  // SSE argument registers may carry live doubles.
-  as.emit(makeInstr(Mnemonic::Sub, 8, Operand::makeReg(Reg::rsp),
-                    Operand::makeImm(128)));
-  for (int i = 0; i < 8; ++i)
-    as.emit(makeInstr(Mnemonic::Movups, 16,
-                      Operand::makeMem(MemOperand{.base = Reg::rsp,
-                                                  .disp = i * 16}),
-                      Operand::makeReg(isa::xmmFromNum(i))));
-  if (keyReg != Reg::rdi) as.movRegReg(Reg::rdi, keyReg);
-  as.movRegImm(Reg::rsi, static_cast<int64_t>(
-                             reinterpret_cast<uintptr_t>(context)));
-  as.callAbs(reinterpret_cast<uint64_t>(hook));
-  if (stageResult) as.movRegReg(Reg::r11, Reg::rax);
-  for (int i = 0; i < 8; ++i)
-    as.emit(makeInstr(Mnemonic::Movups, 16, Operand::makeReg(isa::xmmFromNum(i)),
-                      Operand::makeMem(MemOperand{.base = Reg::rsp,
-                                                  .disp = i * 16})));
-  as.emit(makeInstr(Mnemonic::Add, 8, Operand::makeReg(Reg::rsp),
-                    Operand::makeImm(128)));
-  for (auto it = std::rbegin(saved); it != std::rend(saved); ++it)
-    as.emit(makeInstr(Mnemonic::Pop, 8, Operand::makeReg(*it)));
-}
-
 static_assert(std::is_standard_layout_v<IcRecord>,
               "the generated stub reads IcRecord fields by offset");
 static_assert(offsetof(IcRecord, key) == 0 &&
@@ -70,10 +39,49 @@ namespace {
 constexpr size_t kQuarantineKeep = 8;
 constexpr uint64_t kQuarantineGraceEvents = 1024;
 
+// Hit-score credit per CPU sample absorbed from the profiler.
+constexpr uint64_t kProfileWeight = 16;
+
 // Arbitrary sentinel key: a real key colliding with it merely takes the
 // original-function path through an empty way (still correct, original
 // handles every value).
 constexpr uint64_t kSentinelKey = 0x6272657764697370ULL;  // "brewdisp"
+
+// Emits an ABI-transparent call to `hook(uint64_t key, void* context)`:
+// preserves the integer argument registers, rax and xmm0-7 on the stack
+// (keeping the call aligned), moves `keyReg` into rdi and `context` into
+// rsi, calls the hook and restores everything. The hook's return value
+// survives the restore in r11 — the one scratch register the dispatch
+// protocol may clobber — so the stub can tail-jump through it.
+void emitPreservedHookCall(jit::Assembler& as, Reg keyReg,
+                           const void* context, const void* hook) {
+  const Reg saved[] = {Reg::rdi, Reg::rsi, Reg::rdx, Reg::rcx,
+                       Reg::r8, Reg::r9, Reg::rax};
+  // Entry rsp ≡ 8 (mod 16); 7 pushes make it ≡ 0 — aligned for the call.
+  for (Reg r : saved)
+    as.emit(makeInstr(Mnemonic::Push, 8, Operand::makeReg(r)));
+  // SSE argument registers may carry live doubles.
+  as.emit(makeInstr(Mnemonic::Sub, 8, Operand::makeReg(Reg::rsp),
+                    Operand::makeImm(128)));
+  for (int i = 0; i < 8; ++i)
+    as.emit(makeInstr(Mnemonic::Movups, 16,
+                      Operand::makeMem(MemOperand{.base = Reg::rsp,
+                                                  .disp = i * 16}),
+                      Operand::makeReg(isa::xmmFromNum(i))));
+  if (keyReg != Reg::rdi) as.movRegReg(Reg::rdi, keyReg);
+  as.movRegImm(Reg::rsi, static_cast<int64_t>(
+                             reinterpret_cast<uintptr_t>(context)));
+  as.callAbs(reinterpret_cast<uint64_t>(hook));
+  as.movRegReg(Reg::r11, Reg::rax);
+  for (int i = 0; i < 8; ++i)
+    as.emit(makeInstr(Mnemonic::Movups, 16, Operand::makeReg(isa::xmmFromNum(i)),
+                      Operand::makeMem(MemOperand{.base = Reg::rsp,
+                                                  .disp = i * 16})));
+  as.emit(makeInstr(Mnemonic::Add, 8, Operand::makeReg(Reg::rsp),
+                    Operand::makeImm(128)));
+  for (auto it = std::rbegin(saved); it != std::rend(saved); ++it)
+    as.emit(makeInstr(Mnemonic::Pop, 8, Operand::makeReg(*it)));
+}
 
 struct DispatcherRegistry {
   std::mutex mu;
@@ -123,7 +131,6 @@ VariantDispatcher::VariantDispatcher(SpecManager& manager, const void* fn,
   options_.inlineWays = std::clamp<size_t>(options_.inlineWays, 1, kMaxWays);
   if (options_.demoteMargin == 0) options_.demoteMargin = 1;
   if (options_.decayInterval == 0) options_.decayInterval = 1;
-  if (options_.profileWeight == 0) options_.profileWeight = 1;
   if (options_.profileGuided) prof::setSampleSink(&dispatchProfileSink);
   nextDecay_ = options_.decayInterval;
   stats_.epoch = 0;
@@ -184,8 +191,7 @@ void VariantDispatcher::buildStub() {
   // Miss: ABI-transparent call into the resolver; the returned target
   // comes back staged in r11.
   emitPreservedHookCall(as, arg, this,
-                        reinterpret_cast<const void*>(&brewDispatchMiss),
-                        /*stageResult=*/true);
+                        reinterpret_cast<const void*>(&brewDispatchMiss));
   as.emit(makeInstr(Mnemonic::JmpInd, 8, Operand::makeReg(Reg::r11)));
 
   auto mem = as.finalizeExecutable();
@@ -225,7 +231,7 @@ DispatchStats VariantDispatcher::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   DispatchStats out = stats_;
   out.variantsLive = variants_.size();
-  out.pendingAsync = pending_.size();
+  out.pendingAsync = 0;
   for (const auto& pb : pendingBatches_)
     for (size_t i = 0; i < pb.keys.size(); ++i)
       if (!pb.claimed[i]) ++out.pendingAsync;
@@ -299,7 +305,7 @@ bool VariantDispatcher::absorbProfileSamples(const void* regionBase,
     if (base < entry || base >= entry + size) continue;
     // Weighted credit onto the same score the call-count path feeds, so
     // decay, hysteresis and way promotion all see one combined signal.
-    rec->hits.fetch_add(samples * options_.profileWeight,
+    rec->hits.fetch_add(samples * kProfileWeight,
                         std::memory_order_relaxed);
     stats_.profileSamples += samples;
     promoteWayLocked(rec.get());
@@ -325,8 +331,6 @@ VariantDispatcher::coldestLocked() {
 void VariantDispatcher::maybeSpecializeLocked(uint64_t key, uint64_t score) {
   if (events_ < options_.sampleCalls) return;
   if (score < options_.promoteThreshold) return;
-  for (const Pending& p : pending_)
-    if (p.key == key) return;  // candidate already in flight
   if (variants_.size() >= options_.maxVariants) {
     // Hysteresis: the challenger must clearly beat the coldest variant's
     // decayed hit score, or the table would thrash under a shifting
@@ -338,29 +342,24 @@ void VariantDispatcher::maybeSpecializeLocked(uint64_t key, uint64_t score) {
     if (coldScore > 0 && score / options_.demoteMargin < coldScore) return;
     demoteLocked(coldest);
   }
-  if (options_.asyncSpecialize) {
-    Pending pending;
-    pending.key = key;
-    pending.epoch = stats_.epoch;
-    pending.request =
-        manager_.rewriteAsync(config_, passes_, fn_, argsFor(key));
-    pending_.push_back(std::move(pending));
-    telemetry::counter(telemetry::CounterId::DispatchAsyncRespecs).add();
-    return;
-  }
   auto result = manager_.rewrite(config_, passes_, fn_, argsFor(key));
-  if (!result.ok()) {
-    failed_.insert(key);
-    missScore_.erase(key);
-    telemetry::counter(telemetry::CounterId::DispatchVariantFailures).add();
-    flight::record(flight::Event::DispatchVariantFail,
-                   reinterpret_cast<uint64_t>(fn_), key);
-    BREW_LOG_INFO("dispatch variant %p/%llu failed: %s", fn_,
-                  static_cast<unsigned long long>(key),
-                  result.error().message().c_str());
-    return;
-  }
-  installLocked(key, std::move(*result), score);
+  if (result.ok())
+    installLocked(key, std::move(*result), score);
+  else
+    failLocked(key, result.error());
+}
+
+// The one failure path for synchronous promotion, seeding and epoch
+// batches: the key runs the original until the next decay round retries it.
+void VariantDispatcher::failLocked(uint64_t key, const Error& error) {
+  failed_.insert(key);
+  missScore_.erase(key);
+  telemetry::counter(telemetry::CounterId::DispatchVariantFailures).add();
+  flight::record(flight::Event::DispatchVariantFail,
+                 reinterpret_cast<uint64_t>(fn_), key);
+  BREW_LOG_INFO("dispatch variant %p/%llu failed: %s", fn_,
+                static_cast<unsigned long long>(key),
+                error.message().c_str());
 }
 
 void VariantDispatcher::installLocked(uint64_t key, CodeHandle handle,
@@ -368,8 +367,8 @@ void VariantDispatcher::installLocked(uint64_t key, CodeHandle handle,
   auto existing = variants_.find(key);
   if (existing != variants_.end()) demoteLocked(existing);
   // maybeSpecializeLocked checks the cap when a variant is requested, but
-  // asynchronous results land later: several singles can be in flight at
-  // once, and an epoch bump's batch races new misses. Hold it here too.
+  // an epoch bump's batch lands later and races new misses. Hold it here
+  // too.
   if (variants_.size() >= options_.maxVariants)
     if (auto coldest = coldestLocked(); coldest != variants_.end())
       demoteLocked(coldest);
@@ -450,24 +449,6 @@ void VariantDispatcher::maybeDecayLocked() {
 }
 
 void VariantDispatcher::pollPendingLocked() {
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (!it->request->ready()) {
-      ++it;
-      continue;
-    }
-    if (it->epoch == stats_.epoch) {
-      if (it->request->ok()) {
-        installLocked(it->key, it->request->handle(),
-                      options_.promoteThreshold);
-      } else {
-        failed_.insert(it->key);
-        missScore_.erase(it->key);
-        telemetry::counter(telemetry::CounterId::DispatchVariantFailures)
-            .add();
-      }
-    }
-    it = pending_.erase(it);
-  }
   for (auto it = pendingBatches_.begin(); it != pendingBatches_.end();) {
     PendingBatch& pb = *it;
     bool open = false;
@@ -479,14 +460,11 @@ void VariantDispatcher::pollPendingLocked() {
       }
       pb.claimed[i] = true;
       if (pb.epoch != stats_.epoch) continue;  // stale-epoch result
-      if (pb.batch->ok(i)) {
+      if (pb.batch->ok(i))
         installLocked(pb.keys[i], pb.batch->handle(i),
                       options_.promoteThreshold);
-      } else {
-        failed_.insert(pb.keys[i]);
-        telemetry::counter(telemetry::CounterId::DispatchVariantFailures)
-            .add();
-      }
+      else
+        failLocked(pb.keys[i], pb.batch->error(i));
     }
     it = open ? std::next(it) : pendingBatches_.erase(it);
   }
@@ -508,15 +486,10 @@ void VariantDispatcher::seedHot(std::span<const uint64_t> hotKeys,
     if (variants_.size() >= options_.maxVariants) break;
     if (variants_.count(key) != 0) continue;
     auto result = manager_.rewrite(config_, passes_, fn_, argsFor(key));
-    if (!result.ok()) {
-      failed_.insert(key);
-      telemetry::counter(telemetry::CounterId::DispatchVariantFailures).add();
-      BREW_LOG_INFO("dispatch seed %p/%llu failed: %s", fn_,
-                    static_cast<unsigned long long>(key),
-                    result.error().message().c_str());
-      continue;
-    }
-    installLocked(key, std::move(*result), options_.promoteThreshold);
+    if (result.ok())
+      installLocked(key, std::move(*result), options_.promoteThreshold);
+    else
+      failLocked(key, result.error());
   }
 }
 
@@ -533,7 +506,6 @@ void VariantDispatcher::bumpEpoch() {
   while (!variants_.empty()) demoteLocked(variants_.begin());
   missScore_.clear();
   failed_.clear();
-  pending_.clear();  // stale-epoch singles are dropped at poll time anyway
   if (hot.empty()) return;
   // Respecialize the previously hot keys for the new epoch as one batch on
   // the worker pool; hashSpecArgs picks up the new pointee/region bytes,
@@ -542,11 +514,10 @@ void VariantDispatcher::bumpEpoch() {
   pb.keys = hot;
   pb.claimed.assign(hot.size(), false);
   pb.epoch = stats_.epoch;
-  std::vector<std::vector<ArgValue>> argSets;
-  argSets.reserve(hot.size());
-  for (const uint64_t key : hot) argSets.push_back(argsFor(key));
-  pb.batch = manager_.rewriteBatchArgs(config_, passes_, fn_,
-                                       std::move(argSets));
+  std::vector<RewriteItem> items;
+  items.reserve(hot.size());
+  for (const uint64_t key : hot) items.push_back({fn_, argsFor(key)});
+  pb.batch = manager_.rewriteBatch(config_, passes_, std::move(items));
   telemetry::counter(telemetry::CounterId::DispatchAsyncRespecs)
       .add(hot.size());
   pendingBatches_.push_back(std::move(pb));

@@ -30,11 +30,10 @@
 //
 // The miss path funnels into resolve(): variant-table hits promote into an
 // inline way; unknown keys accumulate a (decayed) miss score and are
-// specialized — synchronously or on the SpecManager worker pool — once hot.
-// When the table is full, a challenger must beat the coldest variant's
-// decayed hit score by `demoteMargin`x before that variant is retired
-// (hysteresis, so a shifting key distribution converges instead of
-// thrashing). Retired records pass through a bounded quarantine before
+// specialized synchronously once hot. When the table is full, a challenger
+// must beat the coldest variant's decayed hit score by `demoteMargin`x
+// before that variant is retired (hysteresis, so a shifting key
+// distribution converges instead of thrashing). Retired records pass through a bounded quarantine before
 // being freed — see docs/DISPATCH.md for the full reclamation protocol.
 #pragma once
 
@@ -50,25 +49,8 @@
 #include <vector>
 
 #include "core/spec_manager.hpp"
-#include "isa/registers.hpp"
 
 namespace brew {
-
-namespace jit {
-class Assembler;
-}
-
-// Emits an ABI-transparent call to `hook(uint64_t key, void* context)` into
-// `as`: preserves the integer argument registers, rax and xmm0-7 on the
-// stack (keeping the call aligned), moves `keyReg` into rdi and `context`
-// into rsi, calls the hook, restores everything. When `stageResult` is set
-// the hook's return value survives the restore in r11 — the one scratch
-// register the dispatch protocol may clobber — so the caller can tail-jump
-// through it. Shared by the inline-cache miss path and the AutoSpecializer
-// sampling proxy (core/autospec.cpp).
-void emitPreservedHookCall(jit::Assembler& as, isa::Reg keyReg,
-                           const void* context, const void* hook,
-                           bool stageResult);
 
 // One live variant. The first three fields are ABI with the generated
 // stub: key at +0 (cmp), target at +8 (jmp), hits at +16 (inc). The hit
@@ -94,7 +76,7 @@ struct DispatchStats {
   uint64_t demotions = 0;
   uint64_t decayRounds = 0;
   uint64_t epochBumps = 0;
-  uint64_t pendingAsync = 0; // candidate rewrites in flight on the pool
+  uint64_t pendingAsync = 0; // epoch-batch rewrites in flight on the pool
   uint64_t epoch = 0;
   uint64_t profileSamples = 0;  // CPU samples credited by the profiler sink
 };
@@ -140,15 +122,15 @@ class VariantDispatcher {
 
   const void* subject() const { return fn_; }
 
-  // Seeds the variant table from an externally collected profile (the
-  // AutoSpecializer histogram): promotes each key synchronously, in order,
-  // up to maxVariants, and fast-forwards the sampling gate so the
-  // dispatcher starts in steady state.
+  // Seeds the variant table from a profile the caller already collected:
+  // promotes each key synchronously, in order, up to maxVariants, and
+  // fast-forwards the sampling gate so the dispatcher starts in steady
+  // state.
   void seedHot(std::span<const uint64_t> hotKeys, uint64_t observedCalls);
 
   // Predicate-epoch change (e.g. PGAS redistribution): retires every live
   // variant and respecializes the previously hot keys as one batch on the
-  // worker pool (SpecManager::rewriteBatchArgs); fresh variants install as
+  // worker pool (SpecManager::rewriteBatch); fresh variants install as
   // the batch completes. Misses fall back to the original meanwhile.
   void bumpEpoch();
   uint64_t epoch() const;
@@ -163,7 +145,7 @@ class VariantDispatcher {
 
   // Profile-guided hotness prior (options.profileGuided): credits CPU
   // samples the profiler attributed to `regionBase` to the variant whose
-  // code owns that region, weighting its hit score by profileWeight and
+  // code owns that region, weighting its hit score per sample and
   // re-running way promotion — so a CPU-hot but call-cold variant earns an
   // inline way on real CPU time, not just call counts. Called from the
   // profiler's drain thread under the registry lock. Returns true when a
@@ -189,11 +171,6 @@ class VariantDispatcher {
                              const std::function<void(VariantDispatcher&)>& fn);
 
  private:
-  struct Pending {
-    uint64_t key = 0;
-    uint64_t epoch = 0;
-    std::shared_ptr<SpecRequest> request;
-  };
   struct PendingBatch {
     std::vector<uint64_t> keys;
     std::vector<bool> claimed;
@@ -212,6 +189,7 @@ class VariantDispatcher {
   void promoteWayLocked(IcRecord* record);
   void demoteLocked(std::map<uint64_t, std::unique_ptr<IcRecord>>::iterator it);
   void maybeSpecializeLocked(uint64_t key, uint64_t score);
+  void failLocked(uint64_t key, const Error& error);
   void maybeDecayLocked();
   void pollPendingLocked();
   void drainQuarantineLocked();
@@ -237,7 +215,6 @@ class VariantDispatcher {
   std::map<uint64_t, std::unique_ptr<IcRecord>> variants_;
   std::map<uint64_t, uint64_t> missScore_;
   std::set<uint64_t> failed_;  // keys whose rewrite failed; cleared by decay
-  std::vector<Pending> pending_;
   std::vector<PendingBatch> pendingBatches_;
   std::deque<Retired> quarantine_;
   DispatchStats stats_;

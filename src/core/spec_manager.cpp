@@ -1,10 +1,8 @@
 #include "core/spec_manager.hpp"
 
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
-#include "jit/assembler.hpp"
 #include "support/log.hpp"
 #include "support/perf_map.hpp"
 #include "support/persist_cache.hpp"
@@ -109,21 +107,6 @@ CacheKey makeCacheKey(const Config& config, const PassOptions& passes,
   return key;
 }
 
-Result<ExecMemory> buildEntrySlotStub(void* const* cell) {
-  using isa::makeInstr;
-  using isa::MemOperand;
-  using isa::Mnemonic;
-  using isa::Operand;
-  using isa::Reg;
-  jit::Assembler as;
-  as.movRegImm(Reg::r11,
-               static_cast<int64_t>(reinterpret_cast<uintptr_t>(cell)));
-  as.emit(makeInstr(Mnemonic::Mov, 8, Operand::makeReg(Reg::r11),
-                    Operand::makeMem(MemOperand{.base = Reg::r11})));
-  as.emit(makeInstr(Mnemonic::JmpInd, 8, Operand::makeReg(Reg::r11)));
-  return as.finalizeExecutable();
-}
-
 int RewriteBatch::next() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock,
@@ -158,11 +141,6 @@ CodeHandle RewriteBatch::handle(size_t index) const {
 Error RewriteBatch::error(size_t index) const {
   std::lock_guard<std::mutex> lock(mu_);
   return index < items_.size() ? items_[index].error : Error{};
-}
-
-const void* RewriteBatch::fn(size_t index) const {
-  // items_[i].fn is set before the fan-out and never mutated.
-  return index < items_.size() ? items_[index].fn : nullptr;
 }
 
 void RewriteBatch::complete(size_t index, Result<CodeHandle> result) {
@@ -332,87 +310,28 @@ void SpecManager::workerLoop() {
   }
 }
 
-std::shared_ptr<SpecRequest> SpecManager::rewriteAsync(
-    Config config, PassOptions passes, const void* fn,
-    std::vector<ArgValue> args) {
-  auto request = std::shared_ptr<SpecRequest>(new SpecRequest());
-  request->original_ = fn;
-  request->slot_.store(const_cast<void*>(fn), std::memory_order_release);
-  auto stub = buildEntrySlotStub(
-      reinterpret_cast<void* const*>(&request->slot_));
-  if (stub.ok()) {
-    request->stub_ = std::move(*stub);
-    registerGeneratedCode(request->stub_.data(), request->stub_.size(), fn,
-                          fnvMix(config.fingerprint(), passes.fingerprint()),
-                          "stub");
-  } else {
-    BREW_LOG_INFO("async entry stub failed: %s (entry() tracks the slot)",
-                  stub.error().message().c_str());
-  }
-
-  const auto enqueued = std::chrono::steady_clock::now();
-  const uint64_t enqueuedNs = telemetry::nowNs();
-  enqueue([this, request, config = std::move(config), passes, fn,
-           args = std::move(args), enqueued, enqueuedNs] {
-    telemetry::histogram(telemetry::HistogramId::AsyncQueueLatencyNs)
-        .record(telemetry::nowNs() - enqueuedNs);
-    auto result = rewrite(config, passes, fn, args);
-    {
-      std::lock_guard<std::mutex> lock(request->mu_);
-      request->done_ = true;
-      if (result.ok()) {
-        request->ok_ = true;
-        request->handle_ = std::move(*result);
-        // Publish: callers spinning through the stub switch to the
-        // specialized code on their next dispatch.
-        request->slot_.store(request->handle_.entry(),
-                             std::memory_order_release);
-        const auto installed = std::chrono::steady_clock::now();
-        cache_.recordAsyncInstall(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(installed -
-                                                                 enqueued)
-                .count()));
-      } else {
-        request->error_ = result.error();
-      }
-    }
-    request->cv_.notify_all();
-  });
-  return request;
-}
-
 std::shared_ptr<RewriteBatch> SpecManager::rewriteBatch(
-    Config config, PassOptions passes, std::span<const void* const> fns,
-    std::vector<ArgValue> args) {
-  auto batch = std::shared_ptr<RewriteBatch>(new RewriteBatch());
-  batch->items_.resize(fns.size());
-  for (size_t i = 0; i < fns.size(); ++i) batch->items_[i].fn = fns[i];
-  // One copy of the request shape shared by every enqueued item.
-  auto shared = std::make_shared<std::pair<Config, std::vector<ArgValue>>>(
-      std::move(config), std::move(args));
+    Config config, PassOptions passes, std::vector<RewriteItem> items) {
+  auto batch = std::shared_ptr<RewriteBatch>(
+      new RewriteBatch(std::move(config), passes));
+  batch->items_.resize(items.size());
+  for (size_t i = 0; i < items.size(); ++i)
+    batch->items_[i].request = std::move(items[i]);
+  const uint64_t enqueuedNs = telemetry::nowNs();
   for (size_t i = 0; i < batch->items_.size(); ++i) {
-    const void* fn = batch->items_[i].fn;
-    enqueue([this, batch, shared, passes, fn, i] {
-      // Duplicate fns hit the cache's per-key single-flight: one traces,
+    enqueue([this, batch, i, enqueuedNs] {
+      telemetry::histogram(telemetry::HistogramId::AsyncQueueLatencyNs)
+          .record(telemetry::nowNs() - enqueuedNs);
+      // Duplicate items hit the cache's per-key single-flight: one traces,
       // the rest wait and share the handle. A null/failing fn fails only
       // its own item.
-      batch->complete(i, rewrite(shared->first, passes, fn, shared->second));
-    });
-  }
-  return batch;
-}
-
-std::shared_ptr<RewriteBatch> SpecManager::rewriteBatchArgs(
-    Config config, PassOptions passes, const void* fn,
-    std::vector<std::vector<ArgValue>> argSets) {
-  auto batch = std::shared_ptr<RewriteBatch>(new RewriteBatch());
-  batch->items_.resize(argSets.size());
-  for (auto& item : batch->items_) item.fn = fn;
-  auto shared = std::make_shared<std::pair<Config, std::vector<std::vector<ArgValue>>>>(
-      std::move(config), std::move(argSets));
-  for (size_t i = 0; i < batch->items_.size(); ++i) {
-    enqueue([this, batch, shared, passes, fn, i] {
-      batch->complete(i, rewrite(shared->first, passes, fn, shared->second[i]));
+      const RewriteItem& request = batch->items_[i].request;
+      auto result =
+          rewrite(batch->config_, batch->passes_, request.fn, request.args);
+      if (result.ok())
+        cache_.recordAsyncInstall(request.fn,
+                                  telemetry::nowNs() - enqueuedNs);
+      batch->complete(i, std::move(result));
     });
   }
   return batch;

@@ -1,15 +1,13 @@
 // SpecManager: the concurrent front door to specialization. Owns the
-// process-wide (or per-instance) CodeCache and a small worker pool for
-// asynchronous rewriting, so hot loops keep executing the original code
-// until the specialized version is published (BAAR-style on-the-fly
-// acceleration; see PAPERS.md).
+// process-wide (or per-instance) CodeCache and a small worker pool that
+// builds batches of specializations in the background (brew_rewrite_batch,
+// dispatch epoch bumps), so callers keep running the original code until a
+// result is ready (BAAR-style on-the-fly acceleration; see PAPERS.md).
 //
 //   SpecManager& mgr = SpecManager::process();
 //   Rewriter r{config, mgr};                  // cached, deduplicated
-//   auto req = mgr.rewriteAsync(config, {}, fn, args);
-//   auto f = req->as<kernel_t>();             // callable immediately:
-//                                             // original now, specialized
-//                                             // once the worker installs
+//   auto batch = mgr.rewriteBatch(config, {}, {{fn, args}});
+//   batch->wait();                            // or drain with next()
 #pragma once
 
 #include <condition_variable>
@@ -41,70 +39,22 @@ uint64_t hashSpecArgs(const Config& config, std::span<const ArgValue> args);
 CacheKey makeCacheKey(const Config& config, const PassOptions& passes,
                       const void* fn, std::span<const ArgValue> args);
 
-// "movabs r11, cell; mov r11, [r11]; jmp r11": a stable entry point whose
-// target is republished with a single pointer store to *cell. Shared by
-// SpecRequest and AutoSpecializer (the paper's §III-D upgrade-in-place).
-Result<ExecMemory> buildEntrySlotStub(void* const* cell);
-
-// One asynchronous rewrite. entry() is callable the moment rewriteAsync
-// returns: it forwards to the original function until the worker finishes,
-// then atomically switches to the specialized code (a relaxed pointer load
-// per call through the stub; no locks on the execution path).
-class SpecRequest {
- public:
-  void* entry() const {
-    return stub_.valid() ? const_cast<uint8_t*>(stub_.data())
-                         : slot_.load(std::memory_order_acquire);
-  }
-  template <typename Fn>
-  Fn as() const {
-    return reinterpret_cast<Fn>(entry());
-  }
-
-  bool ready() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return done_;
-  }
-  // Valid after ready()/wait(): did the rewrite succeed?
-  bool ok() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return ok_;
-  }
-  CodeHandle handle() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return handle_;
-  }
-  Error error() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return error_;
-  }
-  void wait() const {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return done_; });
-  }
-
- private:
-  friend class SpecManager;
-  SpecRequest() = default;
-
-  const void* original_ = nullptr;
-  std::atomic<void*> slot_{nullptr};  // jump target read by the stub
-  ExecMemory stub_;
-  mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  bool done_ = false;
-  bool ok_ = false;
-  CodeHandle handle_;
-  Error error_{};
+// One request of a RewriteBatch: the function to specialize and the
+// argument values to trace it with.
+struct RewriteItem {
+  const void* fn = nullptr;
+  std::vector<ArgValue> args;
 };
 
-// Fan-out of one configuration across many target functions on the async
-// worker pool (SpecManager::rewriteBatch). Results are consumed in
-// COMPLETION order: next() blocks until some unclaimed item finishes and
-// returns its index into the original fns[] span — each index is returned
-// exactly once across all callers, so several threads can drain one batch.
-// Duplicate functions in the span deduplicate in the cache: they trace
-// once and every item shares the same refcounted code.
+// Fan-out of one configuration across many {fn, args} items on the worker
+// pool (SpecManager::rewriteBatch): brew_rewrite_batch sends many functions
+// with one argument set, a dispatch-epoch bump sends one function with many
+// argument sets. Results are consumed in COMPLETION order: next() blocks
+// until some unclaimed item finishes and returns its index into the
+// original items — each index is returned exactly once across all callers,
+// so several threads can drain one batch. Duplicate items deduplicate in
+// the cache: they trace once and every item shares the same refcounted
+// code.
 class RewriteBatch {
  public:
   size_t size() const { return items_.size(); }
@@ -124,21 +74,23 @@ class RewriteBatch {
   bool ok(size_t index) const;
   CodeHandle handle(size_t index) const;
   Error error(size_t index) const;
-  const void* fn(size_t index) const;
 
  private:
   friend class SpecManager;
   struct Item {
-    const void* fn = nullptr;
+    RewriteItem request;  // set before the fan-out, never mutated
     bool done = false;
     bool ok = false;
     CodeHandle handle;
     Error error{};
   };
 
-  RewriteBatch() = default;
+  RewriteBatch(Config config, PassOptions passes)
+      : config_(std::move(config)), passes_(passes) {}
   void complete(size_t index, Result<CodeHandle> result);
 
+  const Config config_;  // shared by every item
+  const PassOptions passes_;
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
   std::vector<Item> items_;     // sized at construction; slots mutate once
@@ -157,9 +109,7 @@ struct DispatchOptions {
   uint64_t promoteThreshold = 8;  // miss score a key needs to specialize
   uint64_t decayInterval = 1024;  // resolver events between score halvings
   uint64_t demoteMargin = 2;  // challenger must beat the coldest by this x
-  bool asyncSpecialize = false;   // compile candidates on the worker pool
   bool profileGuided = false;     // feed SIGPROF samples into hit scores
-  uint64_t profileWeight = 16;    // hit-score credit per CPU sample
 };
 
 class SpecManager {
@@ -192,9 +142,9 @@ class SpecManager {
   SpecManager(const SpecManager&) = delete;
   SpecManager& operator=(const SpecManager&) = delete;
 
-  // The process-wide instance used by the C API, AutoSpecializer and the
-  // PGAS runtime. First use constructs it from Options::fromEnv(), as
-  // overridden by configureProcess().
+  // The process-wide instance used by the C API and the PGAS runtime.
+  // First use constructs it from Options::fromEnv(), as overridden by
+  // configureProcess().
   static SpecManager& process();
 
   // Replaces the options the process-wide instance will be built with.
@@ -215,30 +165,15 @@ class SpecManager {
   Result<CodeHandle> rewrite(const Config& config, const PassOptions& passes,
                              const void* fn, std::span<const ArgValue> args);
 
-  // Asynchronous rewrite on the worker pool. The returned request's
-  // entry() is immediately callable (forwards to `fn`); the specialized
-  // version is installed atomically when ready. Install latency is
-  // recorded in the cache stats (asyncInstalls / asyncLatencyNs*).
-  std::shared_ptr<SpecRequest> rewriteAsync(Config config, PassOptions passes,
-                                            const void* fn,
-                                            std::vector<ArgValue> args);
-
-  // Fans one rewrite request per function in `fns` out to the worker pool,
-  // all sharing `config`/`passes`/`args`. Returns immediately; consume
-  // results in completion order with RewriteBatch::next(). Null or failing
+  // Fans `items` out to the worker pool, all sharing `config`/`passes`.
+  // Returns immediately; consume results in completion order with
+  // RewriteBatch::next(), or poll done()/ok()/handle(). Null or failing
   // functions fail their own item only — the rest of the batch proceeds.
+  // Each successful item counts as one async install in the cache stats
+  // (asyncInstalls / asyncLatencyNs*, enqueue to built).
   std::shared_ptr<RewriteBatch> rewriteBatch(Config config,
                                              PassOptions passes,
-                                             std::span<const void* const> fns,
-                                             std::vector<ArgValue> args);
-
-  // The transpose of rewriteBatch: fans many argument sets for ONE
-  // function out to the worker pool (multi-version respecialization after
-  // a dispatch-epoch bump). Item i corresponds to argSets[i]; results are
-  // polled with RewriteBatch::done()/ok()/handle() or drained with next().
-  std::shared_ptr<RewriteBatch> rewriteBatchArgs(
-      Config config, PassOptions passes, const void* fn,
-      std::vector<std::vector<ArgValue>> argSets);
+                                             std::vector<RewriteItem> items);
 
  private:
   void enqueue(std::function<void()> task);

@@ -1,12 +1,13 @@
 // Specialization cache tests: single-flight deduplication across threads,
 // LRU eviction under a byte budget (with outstanding handles surviving),
-// content-sensitive keying, per-entry footprint, and asynchronous install
+// content-sensitive keying, per-entry footprint, and worker-pool batches
 // through SpecManager.
 #include <gtest/gtest.h>
 #include <malloc.h>
 #include <stdlib.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -19,6 +20,7 @@
 #include "core/rewriter.hpp"
 #include "core/spec_manager.hpp"
 #include "jit/assembler.hpp"
+#include "support/flight_recorder.hpp"
 #include "support/telemetry.hpp"
 
 namespace brew {
@@ -212,32 +214,51 @@ TEST(CodeCacheTest, HandleSurvivesCacheClear) {
   EXPECT_EQ(reinterpret_cast<addmul_t>(handle.entry())(0, 5), 3 * 7 + 5);
 }
 
+// A one-item batch on the worker pool: a caller polling the item sees it
+// finish, the built code computes the specialized result, and the success
+// is counted once as an async install with its latency and a flight record
+// naming the subject.
 TEST(SpecManagerAsync, InstallObservedBySpinningCaller) {
+  flight::clearForTest();
+  telemetry::Histogram& queued =
+      telemetry::histogram(telemetry::HistogramId::AsyncQueueLatencyNs);
+  const uint64_t queuedBefore = queued.count();
   SpecManager manager{SpecManager::Options{.workers = 2}};
-  Config config = knownFirstParam();
-  auto request = manager.rewriteAsync(
-      config, PassOptions{}, reinterpret_cast<const void*>(&addmul),
-      {ArgValue::fromInt(42), ArgValue::fromInt(0)});
-  ASSERT_NE(request, nullptr);
+  const auto* fn = reinterpret_cast<const void*>(&addmul);
+  auto batch = manager.rewriteBatch(
+      knownFirstParam(), PassOptions{},
+      {{fn, {ArgValue::fromInt(42), ArgValue::fromInt(0)}}});
+  ASSERT_EQ(batch->size(), 1u);
 
-  // Callable from the first instant: original behavior until the worker
-  // publishes, specialized behavior after. Spin until the switch.
-  addmul_t fn = request->as<addmul_t>();
-  int observed = fn(1, 2);
-  EXPECT_TRUE(observed == 1 * 7 + 2 || observed == 42 * 7 + 2);
-  for (int spin = 0; spin < 100000000 && observed != 42 * 7 + 2; ++spin)
-    observed = fn(1, 2);
-  EXPECT_EQ(observed, 42 * 7 + 2);
+  // Non-blocking poll, as the dispatcher's miss path does.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!batch->done(0) && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  ASSERT_TRUE(batch->done(0));
+  ASSERT_TRUE(batch->ok(0)) << batch->error(0).message();
+  const CodeHandle handle = batch->handle(0);
+  ASSERT_GT(handle.codeSize(), 0u);
+  EXPECT_EQ(reinterpret_cast<addmul_t>(handle.entry())(1, 2), 42 * 7 + 2);
+  EXPECT_EQ(batch->next(), 0);
+  EXPECT_EQ(batch->next(), -1);
 
-  request->wait();
-  ASSERT_TRUE(request->ok()) << request->error().message();
-  // The stable stub entry does not move when the worker publishes.
-  EXPECT_EQ(reinterpret_cast<void*>(fn), request->entry());
-  EXPECT_GT(request->handle().codeSize(), 0u);
   const CacheStats stats = manager.cache().stats();
   EXPECT_EQ(stats.asyncInstalls, 1u);
   EXPECT_GT(stats.asyncLatencyNsMax, 0u);
-  EXPECT_GE(stats.asyncLatencyNsTotal, stats.asyncLatencyNsMax);
+  EXPECT_EQ(stats.asyncLatencyNsTotal, stats.asyncLatencyNsMax);
+  EXPECT_EQ(queued.count(), queuedBefore + 1);
+
+  flight::Record records[flight::kCapacity];
+  const size_t n = flight::snapshot(records, flight::kCapacity);
+  size_t installs = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (records[i].event != flight::Event::AsyncInstall) continue;
+    ++installs;
+    EXPECT_EQ(records[i].a, reinterpret_cast<uint64_t>(fn));
+    EXPECT_EQ(records[i].b, stats.asyncLatencyNsMax);
+  }
+  EXPECT_EQ(installs, 1u);
 }
 
 TEST(TelemetryMirror, RegistryCountersTrackCacheBehavior) {
@@ -407,16 +428,18 @@ TEST(CodeCacheTest, CachedEntriesKeepOnlyFinalizedCode) {
   std::filesystem::remove_all(persistent.cacheDir);
 }
 
+// A failing item reports its error, has no handle and counts no async
+// install.
 TEST(SpecManagerAsync, FailedAsyncKeepsOriginalEntry) {
   static const uint8_t bogus[] = {0x0f, 0x31, 0xc3};  // rdtsc; ret
   SpecManager manager;
-  auto request =
-      manager.rewriteAsync(Config{}, PassOptions{}, bogus, {});
-  request->wait();
-  EXPECT_FALSE(request->ok());
-  EXPECT_FALSE(request->handle());
-  // entry() still routes somewhere callable: the original code.
-  EXPECT_NE(request->entry(), nullptr);
+  auto batch = manager.rewriteBatch(Config{}, PassOptions{}, {{bogus, {}}});
+  batch->wait();
+  ASSERT_TRUE(batch->done(0));
+  EXPECT_FALSE(batch->ok(0));
+  EXPECT_FALSE(batch->handle(0));
+  EXPECT_NE(batch->error(0).code, ErrorCode::Ok);
+  EXPECT_EQ(manager.cache().stats().asyncInstalls, 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <set>
 #include <span>
 #include <thread>
@@ -15,6 +16,7 @@
 
 #include "core/dispatch.hpp"
 #include "jit/assembler.hpp"
+#include "support/flight_recorder.hpp"
 #include "support/telemetry.hpp"
 
 namespace brew {
@@ -185,26 +187,37 @@ TEST(Dispatch, EpochBumpRetiresAndRespecializes) {
   for (const VariantInfo& v : d.variants()) EXPECT_EQ(v.epoch, 1u);
 }
 
+// Background specialization: after an epoch bump the seeded key runs the
+// original until the worker pool's batch builds its variant, which the
+// miss path then installs. The build counts as one async install.
 TEST(Dispatch, AsyncSpecializationInstallsEventually) {
   SpecManager manager{SpecManager::Options{.workers = 2}};
   ExecMemory kernel = buildKernel(1000);
   DispatchOptions opt = fastOptions();
-  opt.asyncSpecialize = true;
+  opt.promoteThreshold = 1u << 30;  // the miss path never promotes on its own
   VariantDispatcher d(manager, kernel.data(), 0, protoArgs(), Config{}, opt);
   ASSERT_TRUE(d.valid());
-  auto fn = d.as<kernel_t>();
+  const uint64_t seeds[] = {9};
+  d.seedHot(seeds, 500);
+  ASSERT_EQ(d.variantCount(), 1u);
+  EXPECT_EQ(manager.cache().stats().asyncInstalls, 0u);
 
+  d.bumpEpoch();
+  auto fn = d.as<kernel_t>();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   int i = 0;
   while (d.variantCount() == 0 &&
          std::chrono::steady_clock::now() < deadline) {
-    ASSERT_EQ(fn(9, i), 9000 + i);  // original until the worker installs
+    ASSERT_EQ(fn(9, i), 9000 + i);  // original until the batch installs
     ++i;
   }
   ASSERT_EQ(d.variantCount(), 1u);
   EXPECT_EQ(d.variants()[0].key, 9u);
-  EXPECT_EQ(d.stats().promotions, 1u);
+  EXPECT_EQ(d.variants()[0].epoch, 1u);
+  EXPECT_EQ(d.stats().promotions, 2u);  // the seed, then the batch
+  EXPECT_EQ(d.stats().pendingAsync, 0u);
+  EXPECT_EQ(manager.cache().stats().asyncInstalls, 1u);
   ASSERT_EQ(fn(9, 1), 9001);
 }
 
@@ -392,6 +405,7 @@ TEST(Dispatch, FailedSeedFallsBackToOriginal) {
   telemetry::Counter& failures =
       telemetry::counter(telemetry::CounterId::DispatchVariantFailures);
   const uint64_t failuresBefore = failures.value();
+  flight::clearForTest();
 
   const uint64_t hot[] = {7, 3};
   d.seedHot(hot, 500);
@@ -399,11 +413,166 @@ TEST(Dispatch, FailedSeedFallsBackToOriginal) {
   ASSERT_EQ(d.variantCount(), 1u);
   EXPECT_EQ(d.variants()[0].key, 3u);
 
+  // The failure is on the flight record: a = subject, b = key.
+  flight::Record records[flight::kCapacity];
+  const size_t n = flight::snapshot(records, flight::kCapacity);
+  size_t fails = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (records[i].event != flight::Event::DispatchVariantFail) continue;
+    ++fails;
+    EXPECT_EQ(records[i].a, reinterpret_cast<uint64_t>(kernel->data()));
+    EXPECT_EQ(records[i].b, 7u);
+  }
+  EXPECT_EQ(fails, 1u);
+
   auto fn = d.as<kernel_t>();
   EXPECT_EQ(fn(3, 5), 3005);  // variant
   for (int i = 0; i < 16; ++i) ASSERT_EQ(fn(7, i), 7000 + i);  // original
   EXPECT_EQ(d.variantCount(), 1u);
   EXPECT_EQ(failures.value(), failuresBefore + 1);
+}
+
+// Profile-guided specialization (§III-D): "statistical information can be
+// collected by profiling". The dispatcher samples the keyed parameter on
+// its own miss path; the AutoSpec cases check that profile end to end.
+
+// Calls run the original through the sampling gate; once it opens, the
+// hot keys are promoted on their next miss and cold keys stay original.
+TEST(AutoSpec, SamplesThenSpecializes) {
+  SpecManager manager{SpecManager::Options{.workers = 1}};
+  ExecMemory kernel = buildKernel(1000);
+  DispatchOptions opt = fastOptions();
+  opt.sampleCalls = 50;
+  opt.decayInterval = 1024;
+  VariantDispatcher d(manager, kernel.data(), 0, protoArgs(), Config{}, opt);
+  ASSERT_TRUE(d.valid());
+  auto fn = d.as<kernel_t>();
+
+  // Sampling phase: behavior identical to the original, nothing promoted.
+  for (int i = 0; i < 49; ++i) {
+    const int64_t mode = (i % 10 < 7) ? 3 : 8;  // 70% mode 3, 30% mode 8
+    ASSERT_EQ(fn(mode, i), mode * 1000 + i);
+  }
+  EXPECT_EQ(d.variantCount(), 0u);
+  EXPECT_EQ(d.stats().misses, 49u);
+
+  // The 50th observation opens the gate: the hotter key is promoted on
+  // this miss and runs its variant, the other on its next miss.
+  ASSERT_EQ(fn(3, 7), 3007);
+  ASSERT_EQ(d.variantCount(), 1u);
+  EXPECT_EQ(d.variants()[0].key, 3u);
+  EXPECT_EQ(fn(8, 11), 8011);
+  EXPECT_EQ(d.variantCount(), 2u);
+
+  // Dispatching phase: hot values hit their variants, a cold value still
+  // computes correctly through the original.
+  EXPECT_EQ(fn(3, 11), 3011);
+  EXPECT_EQ(fn(5, 11), 5011);
+  std::set<uint64_t> keys;
+  for (const VariantInfo& v : d.variants()) keys.insert(v.key);
+  EXPECT_EQ(keys, (std::set<uint64_t>{3, 8}));
+  EXPECT_EQ(d.stats().promotions, 2u);
+}
+
+// Keys whose miss score stays below promoteThreshold are never
+// specialized, however long the gate has been open; a key that crosses it
+// is.
+TEST(AutoSpec, MinShareFiltersColdValues) {
+  SpecManager manager{SpecManager::Options{.workers = 1}};
+  ExecMemory kernel = buildKernel(1000);
+  DispatchOptions opt = fastOptions();
+  opt.maxVariants = 8;
+  opt.sampleCalls = 16;
+  opt.promoteThreshold = 30;
+  opt.decayInterval = 1 << 20;
+  VariantDispatcher d(manager, kernel.data(), 0, protoArgs(), Config{}, opt);
+  ASSERT_TRUE(d.valid());
+  auto fn = d.as<kernel_t>();
+
+  for (int i = 0; i < 100; ++i) ASSERT_EQ(fn(i % 4, i), (i % 4) * 1000 + i);
+  EXPECT_EQ(d.variantCount(), 0u);  // 25 misses each: nothing hot
+  EXPECT_EQ(d.stats().promotions, 0u);
+
+  for (int i = 0; i < 30; ++i) ASSERT_EQ(fn(6, i), 6000 + i);
+  ASSERT_EQ(d.variantCount(), 1u);
+  EXPECT_EQ(d.variants()[0].key, 6u);
+  EXPECT_EQ(fn(2, 5), 2005);  // still cold, still the original
+  EXPECT_EQ(d.variantCount(), 1u);
+}
+
+// A caller that collected its own profile hands it to seedHot: the
+// sampling gate (here one that would never open) is skipped, the hot key
+// runs its variant through the inline way without reaching the resolver.
+TEST(AutoSpec, ManualFinalize) {
+  SpecManager manager{SpecManager::Options{.workers = 1}};
+  ExecMemory kernel = buildKernel(1000);
+  DispatchOptions opt = fastOptions();
+  opt.sampleCalls = 1000000;
+  VariantDispatcher d(manager, kernel.data(), 0, protoArgs(), Config{}, opt);
+  ASSERT_TRUE(d.valid());
+  auto fn = d.as<kernel_t>();
+
+  std::map<uint64_t, uint64_t> profile;
+  for (int i = 0; i < 10; ++i) {
+    const int64_t mode = i < 8 ? 42 : 7;
+    ++profile[static_cast<uint64_t>(mode)];
+    ASSERT_EQ(fn(mode, i), mode * 1000 + i);
+  }
+  EXPECT_EQ(d.variantCount(), 0u);
+
+  std::vector<uint64_t> hot;
+  for (const auto& [key, count] : profile)
+    if (count * 2 > 10) hot.push_back(key);  // strict majority only
+  ASSERT_EQ(hot, (std::vector<uint64_t>{42}));
+  d.seedHot(hot, 10);
+  ASSERT_EQ(d.variantCount(), 1u);
+  EXPECT_TRUE(d.variants()[0].inlineCached);
+
+  const DispatchStats before = d.stats();
+  EXPECT_EQ(fn(42, 1), 42001);
+  EXPECT_EQ(fn(42, 2), 42002);
+  EXPECT_EQ(d.stats().misses, before.misses);
+  EXPECT_EQ(d.stats().tableHits, before.tableHits);
+  EXPECT_EQ(variantHits(d, 42), before.variantHits + 2);
+  EXPECT_EQ(fn(7, 1), 7001);  // original
+}
+
+// g(mode, x) = 2x + mode: the double argument in xmm0 must survive the
+// miss path's hook call before promotion (sampling) and after it (a cold
+// key), and reach the promoted variant through the inline way.
+TEST(AutoSpec, FloatArgumentsSurviveSampling) {
+  jit::Assembler as;
+  as.emit(isa::makeInstr(Mnemonic::Addsd, 8, isa::Operand::makeReg(Reg::xmm0),
+                         isa::Operand::makeReg(Reg::xmm0)));
+  as.emit(isa::makeInstr(Mnemonic::Cvtsi2sd, 8,
+                         isa::Operand::makeReg(Reg::xmm1),
+                         isa::Operand::makeReg(Reg::rdi)));
+  as.emit(isa::makeInstr(Mnemonic::Addsd, 8, isa::Operand::makeReg(Reg::xmm0),
+                         isa::Operand::makeReg(Reg::xmm1)));
+  as.ret();
+  auto mem = as.finalizeExecutable();
+  ASSERT_TRUE(mem.ok()) << mem.error().message();
+
+  using g_t = double (*)(int64_t, double);
+  SpecManager manager{SpecManager::Options{.workers = 1}};
+  VariantDispatcher d(manager, mem->data(), 0,
+                      {ArgValue::fromInt(0), ArgValue::fromDouble(0.0)},
+                      Config{}.setReturnKind(ReturnKind::Float),
+                      fastOptions());
+  ASSERT_TRUE(d.valid());
+  auto fn = d.as<g_t>();
+  for (int i = 0; i < 20; ++i) {
+    const double x = 1.25 + i;
+    ASSERT_DOUBLE_EQ(fn(5, x), x * 2 + 5) << "call " << i;
+  }
+  ASSERT_EQ(d.variantCount(), 1u);
+  EXPECT_TRUE(d.variants()[0].inlineCached);
+  const uint64_t misses = d.stats().misses;
+  for (int i = 0; i < 3; ++i) {
+    const double x = -0.5 - i;
+    ASSERT_DOUBLE_EQ(fn(6, x), x * 2 + 6) << "cold call " << i;
+  }
+  EXPECT_EQ(d.stats().misses, misses + 3);
 }
 
 TEST(Dispatch, InvalidKeyParameterFallsBackToOriginal) {

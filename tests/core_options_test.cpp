@@ -23,7 +23,6 @@ TEST(CApiOptions, NullAndBogusValuesAreSafe) {
   brew_options_set_dispatch_ways(nullptr, 1);
   brew_options_set_sample_calls(nullptr, 1);
   brew_options_set_decay_interval(nullptr, 1);
-  brew_options_set_async_specialize(nullptr, 1);
   brew_options_set_profile_hz(nullptr, 97);
   brew_options_set_profile_guided(nullptr, 1);
 }
@@ -45,7 +44,6 @@ TEST(CApiOptions, ConfigureShapesTheProcessRuntimeThenFreezes) {
   brew_options_set_dispatch_ways(options, 2);
   brew_options_set_sample_calls(options, 4);
   brew_options_set_decay_interval(options, 16);
-  brew_options_set_async_specialize(options, 0);
   brew_options_set_profile_hz(options, 97);
   brew_options_set_profile_guided(options, 1);
 
