@@ -4,9 +4,10 @@
 #
 #   scripts/run_benches.sh [--threads LIST] [build-dir]   (default: build)
 #
-# Each entry carries the binary's microbenchmark runs (name, iterations,
-# ns/op), the rewrite-pipeline phase-time breakdown from the telemetry
-# registry, and its shape-check verdict. Console output still goes to the
+# Each entry carries the binary's host fingerprint (nproc, CPU model,
+# build type), its microbenchmark runs (name, iterations, ns/op), the
+# rewrite-pipeline phase-time breakdown from the telemetry registry, and
+# its shape-check verdict. Console output still goes to the
 # terminal, so this is a superset of running the binaries by hand.
 #
 # --threads sets the thread-count matrix for the multi-threaded benches
