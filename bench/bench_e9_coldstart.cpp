@@ -8,11 +8,12 @@
 // warmstart_speedup, is gated in perf_smoke via
 //   compare_benches.py --min-ratio warmstart_speedup=5.0
 // Workers are forked so each one really pays (or skips) its own process
-// start; they report elapsed time and cache counters through small binary
-// result files, then _exit() without running destructors.
+// start; they report elapsed and CPU time and cache counters through small
+// binary result files, then _exit() without running destructors.
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -60,6 +61,15 @@ typedef uint64_t (*chain_t)(uint64_t, uint64_t);
 constexpr int kKernels = 4;
 uint64_t saltFor(int k) { return 7 + 13 * static_cast<uint64_t>(k); }
 
+// CPU seconds of the whole process (every thread), which unlike wall time
+// do not grow when more workers than free cores share the machine.
+double processCpuSeconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 Config knownSaltConfig() {
   Config config;
   config.setParamKnown(1);  // k known; x stays runtime
@@ -85,6 +95,7 @@ struct TempDir {
 struct WorkerReport {
   uint64_t magic = 0x45394252;  // "E9BR"
   double seconds = 0;
+  double cpuSeconds = 0;
   uint64_t persistHits = 0;
   uint64_t rewriteAttempts = 0;
   uint64_t checksum = 0;
@@ -92,18 +103,20 @@ struct WorkerReport {
 
 // Worker body: time from SpecManager construction until every kernel is
 // specialized and has produced a result — "full cached-hit throughput".
+// The worker's kernels are the salts firstKernel .. firstKernel+kKernels-1.
 [[noreturn]] void runWorker(const std::string& dir,
-                            const std::string& reportPath) {
+                            const std::string& reportPath, int firstKernel) {
   WorkerReport report;
   const uint64_t attempts0 =
       telemetry::counter(telemetry::CounterId::RewriteAttempts).value();
+  const double cpu0 = processCpuSeconds();
   Timer timer;
   {
     SpecManager::Options options;
     options.cacheDir = dir;
     SpecManager manager{options};
     const Config config = knownSaltConfig();
-    for (int k = 0; k < kKernels; ++k) {
+    for (int k = firstKernel; k < firstKernel + kKernels; ++k) {
       std::vector<ArgValue> args = {ArgValue::fromInt(0),
                                     ArgValue::fromInt(saltFor(k))};
       auto result = manager.rewrite(config, {},
@@ -116,6 +129,7 @@ struct WorkerReport {
       report.checksum = report.checksum * 31 + got;
     }
     report.seconds = timer.seconds();
+    report.cpuSeconds = processCpuSeconds() - cpu0;
     report.persistHits = manager.cache().stats().persistHits;
   }
   report.rewriteAttempts =
@@ -137,8 +151,9 @@ bool readReport(const std::string& path, WorkerReport* out) {
   return n == sizeof *out && out->magic == 0x45394252;
 }
 
-// Forks `count` workers over `dir`; returns wall seconds from first fork
-// to last exit and collects the per-worker reports.
+// Forks `count` workers over `dir`, worker i on its own kernels
+// i*kKernels ..; returns wall seconds from first fork to last exit and
+// collects the per-worker reports in worker order.
 double runWorkers(const std::string& dir, int count, const std::string& tag,
                   std::vector<WorkerReport>* reports) {
   std::vector<pid_t> pids;
@@ -147,7 +162,7 @@ double runWorkers(const std::string& dir, int count, const std::string& tag,
   for (int i = 0; i < count; ++i) {
     paths.push_back(dir + "/e9-report-" + tag + "-" + std::to_string(i));
     const pid_t pid = ::fork();
-    if (pid == 0) runWorker(dir, paths.back());
+    if (pid == 0) runWorker(dir, paths.back(), i * kKernels);
     if (pid < 0) {
       std::fprintf(stderr, "fork failed\n");
       std::exit(2);
@@ -262,19 +277,29 @@ int main(int argc, char** argv) {
   (void)runWorkers(dir.path, 1, "cold1", &cold1);
   (void)runWorkers(dir.path, 1, "warm1", &warm1);
 
-  // Phase 2: 8 workers racing one EMPTY directory (first fleet launch —
-  // racers may warm-start off a faster sibling mid-run), then 8 over the
-  // populated one (fleet restart).
+  // Phase 2: 8 concurrent workers publishing into one EMPTY directory
+  // (first fleet launch), then 8 over the populated one (fleet restart).
+  // Each worker specializes its own kernels, as ranks specialize on their
+  // own known values: had they shared keys, how many cold workers
+  // warm-start off a faster sibling mid-run would depend on the scheduler.
+  // The fleet's cost is its summed CPU time, which does not depend on how
+  // many cores are free; the wall times are printed, not gated.
   TempDir dir8;
   const double cold8s = runWorkers(dir8.path, 8, "cold8", &cold8);
   const double warm8s = runWorkers(dir8.path, 8, "warm8", &warm8);
+  double cold8cpu = 0;
+  double warm8cpu = 0;
+  for (const WorkerReport& r : cold8) cold8cpu += r.cpuSeconds;
+  for (const WorkerReport& r : warm8) warm8cpu += r.cpuSeconds;
 
   const double speedup1 = cold1.front().seconds / warm1.front().seconds;
-  const double speedup8 = cold8s / warm8s;
+  const double speedup8 = cold8cpu / warm8cpu;
 
   PaperTable table("E9", "time to full cached-hit throughput");
   table.addRow("cold start, 1 process", -1, cold1.front().seconds);
   table.addRow("warm start, 1 process", -1, warm1.front().seconds);
+  table.addRow("cold start, 8 processes (CPU)", -1, cold8cpu);
+  table.addRow("warm start, 8 processes (CPU)", -1, warm8cpu);
   table.addRow("cold start, 8 processes (wall)", -1, cold8s);
   table.addRow("warm start, 8 processes (wall)", -1, warm8s);
   table.print();
@@ -311,5 +336,9 @@ int main(int argc, char** argv) {
   for (const WorkerReport& r : warm1)
     checks.expect(r.checksum == cold1.front().checksum,
                   "warm code computes identical results");
+  bool fleetSame = true;
+  for (size_t i = 0; i < warm8.size(); ++i)
+    fleetSame = fleetSame && warm8[i].checksum == cold8[i].checksum;
+  checks.expect(fleetSame, "warm fleet computes identical results");
   return finish(checks, argc, argv);
 }
