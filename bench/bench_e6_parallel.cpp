@@ -3,8 +3,8 @@
 // variant, then hammers the specialization cache with the same request;
 // after the one trace per variant, every rewrite is a cached hit. The
 // sharded cache serves those hits from a lock-free seqlock table, so
-// throughput should scale with threads; the BREW_CACHE_SHARDS=1 control
-// (one mutex, no hit table) is the pre-sharding behavior and plateaus.
+// throughput should scale with threads; the single-shard control
+// (cacheShards = 1: one mutex, no hit table) is the pre-sharding behavior and plateaus.
 //
 // Thread counts come from BREW_BENCH_THREADS (comma list, default
 // "1,2,4,8"); scripts/run_benches.sh --threads forwards its matrix here.

@@ -6,8 +6,8 @@
 //
 //   $ ./parallel_stencil [threads]
 //
-// The cache shard count comes from BREW_CACHE_SHARDS (default 16);
-// BREW_CACHE_SHARDS=1 is the single-lock control mode.
+// The cache shard count is set with brew_options_set_cache_shards
+// (default 16); a count of 1 is the single-lock control mode.
 #include <cstdio>
 #include <cstdlib>
 #include <thread>

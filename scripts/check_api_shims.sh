@@ -3,7 +3,9 @@
 #  - every brew_* function declared there is called from at least one file
 #    under tests/, so no public entry point ships untested;
 #  - the persistence symbols are both declared and implemented;
-#  - BREW_CACHE_DIR is parsed in exactly one place.
+#  - BREW_CACHE_DIR is parsed in exactly one place;
+#  - the docs/OBSERVABILITY.md "Quick reference" table lists exactly the
+#    BREW_* environment variables src/ reads.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -54,5 +56,37 @@ if [ -n "$cache_env_offenders" ]; then
   exit 1
 fi
 
+# One environment-variable table: every BREW_* name passed to getenv or
+# envSize on a non-comment line under src/ is in the "Quick reference"
+# table of docs/OBSERVABILITY.md, and the table lists no name src/ no
+# longer reads.
+read_vars=$(grep -rhE '(getenv|envSize)\("BREW_' src | grep -vE "$comment" \
+  | grep -oE '(getenv|envSize)\("BREW_[A-Z0-9_]+"' \
+  | grep -oE 'BREW_[A-Z0-9_]+' | sort -u)
+table_vars=$(sed -n '/^## Quick reference/,/^## [^Q]/p' docs/OBSERVABILITY.md \
+  | grep -oE '^\|[[:space:]]*`BREW_[A-Z0-9_]+' \
+  | grep -oE 'BREW_[A-Z0-9_]+' | sort -u)
+if [ -z "$read_vars" ] || [ -z "$table_vars" ]; then
+  echo "could not collect BREW_* names from src/ or docs/OBSERVABILITY.md" >&2
+  exit 1
+fi
+env_fail=0
+for v in $read_vars; do
+  if ! printf '%s\n' $table_vars | grep -qx "$v"; then
+    echo "$v is read under src/ but missing from the docs/OBSERVABILITY.md" \
+      "Quick reference table" >&2
+    env_fail=1
+  fi
+done
+for v in $table_vars; do
+  if ! printf '%s\n' $read_vars | grep -qx "$v"; then
+    echo "$v is in the docs/OBSERVABILITY.md Quick reference table but no" \
+      "longer read under src/" >&2
+    env_fail=1
+  fi
+done
+[ "$env_fail" -eq 0 ] || exit 1
+
 echo "every brew.h function has a caller under tests/"
 echo "persistence API surface intact (set_cache_dir/getpersiststats)"
+echo "environment table matches src/ ($(echo $read_vars | wc -w) BREW_* variables)"

@@ -125,17 +125,11 @@ void brew_set_store_handler(brew_conf* conf, brew_handler handler);
 /* The ONE way runtime knobs reach the rewrite runtime. Build an options
  * object, set what you need, and pass it to brew_configure BEFORE the
  * first rewrite; the process-wide specialization manager is constructed
- * from it on first use. brew_options_init seeds every field from the
- * documented environment fallbacks, so configuring nothing is exactly the
- * env-driven behavior:
+ * from it on first use. brew_options_init seeds every field from its
+ * default, except two deployment settings that fall back to the
+ * environment, so configuring nothing is exactly the env-driven behavior:
  *
- *   BREW_WORKERS        async rewrite worker threads        (default 2)
- *   BREW_CACHE_BYTES    specialization-cache LRU budget     (default 64 MiB)
- *   BREW_CACHE_SHARDS   cache shard count, pow2, max 64     (default 16)
- *   BREW_MAX_VARIANTS   live dispatch variants per function (default 4)
- *   BREW_DISPATCH_WAYS  inline-cache ways per dispatch stub (default 2)
  *   BREW_PROFILE_HZ     sampling-profiler frequency, 0 = off (default 0)
- *   BREW_PROFILE_GUIDED =1 feeds CPU samples into dispatch  (default off)
  *   BREW_CACHE_DIR      persistent on-disk specialization-cache directory
  *                       (default unset = persistence off; see docs/CACHE.md)
  *
@@ -165,9 +159,6 @@ void brew_options_set_decay_interval(brew_options* options, uint64_t events);
 /* Sampling-profiler frequency in Hz (clamped to [1, 10000]; 0 disables).
  * The profiler starts with the runtime when > 0. */
 void brew_options_set_profile_hz(brew_options* options, int hz);
-/* Feed profiler CPU samples into dispatcher hit scores, so CPU-hot but
- * call-cold variants still earn inline-cache ways. */
-void brew_options_set_profile_guided(brew_options* options, int enabled);
 /* Persistent on-disk specialization cache directory (copied; NULL or ""
  * disables persistence). Entries are keyed by the executable's build id
  * plus the full specialization identity, written crash-safely, and — when

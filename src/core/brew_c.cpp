@@ -236,11 +236,6 @@ void brew_options_set_profile_hz(brew_options* options, int hz) {
   if (options != nullptr && hz >= 0) options->impl.profileHz = hz;
 }
 
-void brew_options_set_profile_guided(brew_options* options, int enabled) {
-  if (options != nullptr)
-    options->impl.dispatch.profileGuided = enabled != 0;
-}
-
 void brew_options_set_cache_dir(brew_options* options, const char* dir) {
   if (options != nullptr) options->impl.cacheDir = dir != nullptr ? dir : "";
 }

@@ -82,9 +82,6 @@ void destroyCodeBlock(CodeBlock* block) noexcept {
 }  // namespace detail
 
 size_t CodeCache::defaultShardCount() {
-  // Fixed default; the BREW_CACHE_SHARDS env fallback is parsed by
-  // SpecManager::Options::fromEnv() — the cache never reads the
-  // environment itself.
   return 16;
 }
 

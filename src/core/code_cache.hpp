@@ -202,9 +202,7 @@ class CodeCache {
   static constexpr size_t kHitSlots = 1024;  // direct-mapped seqlock table
 
   // Shard count used when the constructor is passed 0 (16). The cache
-  // itself never reads the environment: the BREW_CACHE_SHARDS fallback is
-  // parsed once by SpecManager::Options::fromEnv() and arrives here through
-  // the constructor. A shard count of 1 is the single-lock
+  // never reads the environment. A shard count of 1 is the single-lock
   // compatibility/control mode: one shard and NO lock-free hit table —
   // every lookup takes the mutex, which reproduces the pre-sharding
   // behavior for A/B scaling measurements.

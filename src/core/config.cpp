@@ -95,7 +95,6 @@ uint64_t Config::fingerprint() const {
   }
   h = mix(h, functionOptionBits(defaults_));
   h = mix(h, static_cast<uint64_t>(returnKind_) << 4 |
-                 static_cast<uint64_t>(foldZeroAccumulator_) |
                  static_cast<uint64_t>(chainBlocks_) << 1 |
                  static_cast<uint64_t>(reconvergeJoins_) << 2 |
                  static_cast<uint64_t>(sideExitFallback_) << 3);

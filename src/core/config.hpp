@@ -102,17 +102,6 @@ class Config {
     return *this;
   }
 
-  // Fold "acc = +0.0; acc += y" accumulator seeds during tracing: the
-  // addsd against a known +0.0 accumulator becomes a plain copy when the
-  // lane states prove it exact (both accumulator lanes known +0.0 and the
-  // source's high lane a real 0). Differs only for y = -0.0 (keeps the
-  // sign) and sNaN quieting.
-  Config& setFoldZeroAccumulator(bool enabled) {
-    foldZeroAccumulator_ = enabled;
-    return *this;
-  }
-  bool foldZeroAccumulator() const { return foldZeroAccumulator_; }
-
   Config& setReturnKind(ReturnKind kind) {
     returnKind_ = kind;
     return *this;
@@ -178,7 +167,6 @@ class Config {
   std::map<uint64_t, FunctionOptions> perFunction_;
   FunctionOptions defaults_;
   ReturnKind returnKind_ = ReturnKind::Unknown;
-  bool foldZeroAccumulator_ = true;
   bool chainBlocks_ = true;
   bool reconvergeJoins_ = true;
   bool sideExitFallback_ = true;

@@ -8,7 +8,6 @@
 #include "support/flight_recorder.hpp"
 #include "support/log.hpp"
 #include "support/perf_map.hpp"
-#include "support/profiler.hpp"
 #include "support/telemetry.hpp"
 
 namespace brew {
@@ -38,9 +37,6 @@ namespace {
 // time/progress bound rather than a proof — docs/DISPATCH.md discusses it.
 constexpr size_t kQuarantineKeep = 8;
 constexpr uint64_t kQuarantineGraceEvents = 1024;
-
-// Hit-score credit per CPU sample absorbed from the profiler.
-constexpr uint64_t kProfileWeight = 16;
 
 // Arbitrary sentinel key: a real key colliding with it merely takes the
 // original-function path through an empty way (still correct, original
@@ -93,16 +89,6 @@ DispatcherRegistry& dispatcherRegistry() {
   return *registry;
 }
 
-// Profiler drain-thread sink: walks the registry and offers the region's
-// fresh CPU samples to each dispatcher until one owns it. Lock order
-// (registry.mu -> d.mu_) matches aggregate()/rankHot().
-void dispatchProfileSink(const void* regionBase, uint64_t samples) {
-  DispatcherRegistry& registry = dispatcherRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  for (VariantDispatcher* d : registry.all)
-    if (d->absorbProfileSamples(regionBase, samples)) return;
-}
-
 }  // namespace
 
 extern "C" const void* brewDispatchMiss(uint64_t key,
@@ -131,7 +117,6 @@ VariantDispatcher::VariantDispatcher(SpecManager& manager, const void* fn,
   options_.inlineWays = std::clamp<size_t>(options_.inlineWays, 1, kMaxWays);
   if (options_.demoteMargin == 0) options_.demoteMargin = 1;
   if (options_.decayInterval == 0) options_.decayInterval = 1;
-  if (options_.profileGuided) prof::setSampleSink(&dispatchProfileSink);
   nextDecay_ = options_.decayInterval;
   stats_.epoch = 0;
 
@@ -294,26 +279,6 @@ const void* VariantDispatcher::resolve(uint64_t key) {
   return target;
 }
 
-bool VariantDispatcher::absorbProfileSamples(const void* regionBase,
-                                             uint64_t samples) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!options_.profileGuided || samples == 0) return false;
-  const uint64_t base = reinterpret_cast<uint64_t>(regionBase);
-  for (auto& [key, rec] : variants_) {
-    const auto entry = reinterpret_cast<uint64_t>(rec->target);
-    const uint64_t size = std::max<uint64_t>(rec->handle.codeSize(), 1);
-    if (base < entry || base >= entry + size) continue;
-    // Weighted credit onto the same score the call-count path feeds, so
-    // decay, hysteresis and way promotion all see one combined signal.
-    rec->hits.fetch_add(samples * kProfileWeight,
-                        std::memory_order_relaxed);
-    stats_.profileSamples += samples;
-    promoteWayLocked(rec.get());
-    return true;
-  }
-  return false;
-}
-
 std::map<uint64_t, std::unique_ptr<IcRecord>>::iterator
 VariantDispatcher::coldestLocked() {
   auto coldest = variants_.end();
@@ -331,6 +296,11 @@ VariantDispatcher::coldestLocked() {
 void VariantDispatcher::maybeSpecializeLocked(uint64_t key, uint64_t score) {
   if (events_ < options_.sampleCalls) return;
   if (score < options_.promoteThreshold) return;
+  // An epoch batch still building this key installs it when it lands.
+  for (const PendingBatch& pb : pendingBatches_)
+    for (size_t i = 0; i < pb.keys.size(); ++i)
+      if (pb.epoch == stats_.epoch && !pb.claimed[i] && pb.keys[i] == key)
+        return;
   if (variants_.size() >= options_.maxVariants) {
     // Hysteresis: the challenger must clearly beat the coldest variant's
     // decayed hit score, or the table would thrash under a shifting
@@ -523,14 +493,6 @@ void VariantDispatcher::bumpEpoch() {
   pendingBatches_.push_back(std::move(pb));
 }
 
-VariantDispatcher* VariantDispatcher::find(const void* fn) {
-  DispatcherRegistry& registry = dispatcherRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  for (VariantDispatcher* d : registry.all)
-    if (d->subject() == fn) return d;
-  return nullptr;
-}
-
 bool VariantDispatcher::withDispatcher(
     const void* subject, const std::function<void(VariantDispatcher&)>& fn) {
   DispatcherRegistry& registry = dispatcherRegistry();
@@ -559,26 +521,10 @@ DispatchStats VariantDispatcher::aggregate(size_t* functions) {
     total.decayRounds += s.decayRounds;
     total.epochBumps += s.epochBumps;
     total.pendingAsync += s.pendingAsync;
-    total.profileSamples += s.profileSamples;
     total.epoch = std::max(total.epoch, s.epoch);
   }
   if (functions != nullptr) *functions = registry.all.size();
   return total;
-}
-
-std::vector<std::pair<const void*, uint64_t>> VariantDispatcher::rankHot() {
-  DispatcherRegistry& registry = dispatcherRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  std::vector<std::pair<const void*, uint64_t>> ranked;
-  ranked.reserve(registry.all.size());
-  for (const VariantDispatcher* d : registry.all) {
-    const DispatchStats s = d->stats();
-    ranked.emplace_back(d->subject(),
-                        s.variantHits + s.tableHits + s.misses);
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  return ranked;
 }
 
 }  // namespace brew

@@ -65,7 +65,6 @@ uint64_t PassOptions::fingerprint() const {
   bits |= static_cast<uint64_t>(peephole) << 0;
   bits |= static_cast<uint64_t>(deadFlagWriters) << 1;
   bits |= static_cast<uint64_t>(redundantLoads) << 2;
-  bits |= static_cast<uint64_t>(foldZeroAdd) << 3;
   bits |= static_cast<uint64_t>(mergeBlocks) << 4;
   bits |= static_cast<uint64_t>(slpVectorize) << 5;
   bits |= static_cast<uint64_t>(crossIterLoads) << 6;

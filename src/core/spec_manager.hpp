@@ -109,7 +109,6 @@ struct DispatchOptions {
   uint64_t promoteThreshold = 8;  // miss score a key needs to specialize
   uint64_t decayInterval = 1024;  // resolver events between score halvings
   uint64_t demoteMargin = 2;  // challenger must beat the coldest by this x
-  bool profileGuided = false;     // feed SIGPROF samples into hit scores
 };
 
 class SpecManager {
@@ -117,21 +116,19 @@ class SpecManager {
   struct Options {
     int workers = 2;                                  // async pool size
     size_t cacheBytes = CodeCache::kDefaultByteBudget;
-    size_t cacheShards = 0;  // 0 = BREW_CACHE_SHARDS env / default (16)
+    size_t cacheShards = 0;  // 0 = CodeCache default (16)
     int profileHz = 0;       // 0 = BREW_PROFILE_HZ env / off
     // Persistent on-disk specialization cache directory (see
     // support/persist_cache.hpp). Empty = persistence disabled; the
     // BREW_CACHE_DIR env fallback applies only through fromEnv(), so
     // ad-hoc `SpecManager m;` instances in tests/benches stay cold.
-    std::string cacheDir;
+    std::string cacheDir{};
     DispatchOptions dispatch{};
 
-    // The ONE place environment fallbacks are parsed (each read once per
-    // process): BREW_WORKERS, BREW_CACHE_BYTES, BREW_CACHE_SHARDS,
-    // BREW_CACHE_DIR, BREW_MAX_VARIANTS, BREW_DISPATCH_WAYS,
-    // BREW_PROFILE_HZ, BREW_PROFILE_GUIDED. Unset/invalid variables keep
-    // the field defaults above. Prefer brew_options / configureProcess;
-    // the env vars are documented compatibility fallbacks.
+    // The ONE place the deployment env fallbacks are parsed (each read
+    // once per process): BREW_CACHE_DIR and BREW_PROFILE_HZ. Unset/invalid
+    // variables keep the field defaults above. Every tuning knob is set
+    // through brew_options / configureProcess.
     static Options fromEnv();
   };
 

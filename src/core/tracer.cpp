@@ -2106,9 +2106,10 @@ Status Tracer::traceSse(const Instruction& in, uint64_t next) {
       // Zero-seeded accumulator: "addsd acc(+0.0), y" is a copy of y.
       // Exactness needs both accumulator lanes to be (unmaterialized)
       // +0.0 — the pxor idiom — and, for the register form, the source's
-      // high lane to really hold 0 at runtime.
-      if (!force && in.mnemonic == Mnemonic::Addsd &&
-          config_.foldZeroAccumulator() && a->isKnown() && a->bits == 0) {
+      // high lane to really hold 0 at runtime. Differs only for y = -0.0
+      // (the copy keeps the sign; 0 + -0.0 is +0.0) and sNaN quieting.
+      if (!force && in.mnemonic == Mnemonic::Addsd && a->isKnown() &&
+          a->bits == 0) {
         emu::XmmValue& x = st_.xmm(dst.reg);
         const bool accIsZeroSeed = !x.lo.materialized && x.hi.isKnown() &&
                                    x.hi.bits == 0;

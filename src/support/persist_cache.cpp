@@ -6,7 +6,6 @@
 #include <link.h>
 #include <poll.h>
 #include <signal.h>
-#include <sys/file.h>
 #include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -586,62 +585,8 @@ bool Store::write(const WriteRequest& req) {
     return false;
   }
 
-  // Manifest: one line per published entry, appended under an exclusive
-  // flock. A single write() keeps lines untorn even across writers racing
-  // on the O_APPEND offset.
-  const int mfd = ::open((dir_ + "/MANIFEST").c_str(),
-                         O_CREAT | O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
-  if (mfd >= 0) {
-    char line[128];
-    const int n = std::snprintf(line, sizeof line,
-                                "1 %s %u %" PRIx64 "\n", name.c_str(),
-                                hdr.payloadBytes, hdr.fnOffset);
-    if (::flock(mfd, LOCK_EX) == 0) {
-      (void)writeAll(mfd, line, static_cast<size_t>(n));
-      ::flock(mfd, LOCK_UN);
-    }
-    ::close(mfd);
-  }
-
   counter(CounterId::PersistWrites).add();
   return true;
-}
-
-bool Store::manifestIntact(size_t* lineCount) const {
-  if (lineCount != nullptr) *lineCount = 0;
-  const int fd = ::open((dir_ + "/MANIFEST").c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return true;  // absent is intact (no entries published)
-  ::flock(fd, LOCK_SH);
-  std::string content;
-  char buf[4096];
-  for (ssize_t r; (r = ::read(fd, buf, sizeof buf)) > 0;)
-    content.append(buf, static_cast<size_t>(r));
-  ::flock(fd, LOCK_UN);
-  ::close(fd);
-
-  size_t lines = 0;
-  bool intact = true;
-  size_t pos = 0;
-  while (pos < content.size()) {
-    const size_t eol = content.find('\n', pos);
-    if (eol == std::string::npos) {
-      intact = false;  // torn trailing line
-      break;
-    }
-    const std::string line = content.substr(pos, eol - pos);
-    unsigned bytes = 0;
-    uint64_t off = 0;
-    char nameBuf[64];
-    if (std::sscanf(line.c_str(), "1 %63s %u %" SCNx64, nameBuf, &bytes,
-                    &off) == 3 &&
-        std::strlen(nameBuf) == 20)  // 16 hex chars + ".bce"
-      ++lines;
-    else
-      intact = false;
-    pos = eol + 1;
-  }
-  if (lineCount != nullptr) *lineCount = lines;
-  return intact;
 }
 
 // ---------------------------------------------------------------------------

@@ -22,9 +22,8 @@
 // a format version and two FNV-1a checksums (header and payload) and any
 // mismatch — truncation, bit flips, stale format, foreign build — is a
 // graceful reject that falls back to a cold rewrite and bumps
-// cache.persist_rejects. An append-only MANIFEST is maintained under
-// flock() for diagnostics and fleet bookkeeping. Temp files orphaned by a
-// killed writer are swept on open().
+// cache.persist_rejects. Temp files orphaned by a killed writer are swept
+// on open().
 //
 // Cross-process sharing: the first Store to open a directory binds a unix
 // socket next to the entries and serves sealed memfds of position-
@@ -134,10 +133,6 @@ class Store {
   // targeted entry.
   std::string entryPathFor(const void* fn, uint64_t configFp,
                            uint64_t argsHash) const;
-
-  // Manifest integrity scan: returns true when every line is well-formed,
-  // and reports the number of entry lines seen.
-  bool manifestIntact(size_t* lineCount = nullptr) const;
 
  private:
   explicit Store(std::string dir);

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "core/brew.h"
-#include "core/dispatch.hpp"
 
 namespace {
 
@@ -24,7 +23,6 @@ TEST(CApiOptions, NullAndBogusValuesAreSafe) {
   brew_options_set_sample_calls(nullptr, 1);
   brew_options_set_decay_interval(nullptr, 1);
   brew_options_set_profile_hz(nullptr, 97);
-  brew_options_set_profile_guided(nullptr, 1);
 }
 
 // One ordered test so configuration provably precedes first use and the
@@ -45,7 +43,6 @@ TEST(CApiOptions, ConfigureShapesTheProcessRuntimeThenFreezes) {
   brew_options_set_sample_calls(options, 4);
   brew_options_set_decay_interval(options, 16);
   brew_options_set_profile_hz(options, 97);
-  brew_options_set_profile_guided(options, 1);
 
   // Before first use: accepted, and a second call overwrites wholesale.
   EXPECT_EQ(brew_configure(options), 0);
@@ -86,17 +83,10 @@ TEST(CApiOptions, ConfigureShapesTheProcessRuntimeThenFreezes) {
       ASSERT_EQ(entry(key, round), addmul(key, round));
   EXPECT_LE(brew_dispatch_variant_count(d), 3u);
 
-  // Profile-guided dispatch is on: a CPU sample inside a live variant
-  // credits that variant (without the option it is ignored).
+  // A key kept hot is live as a variant.
   for (int i = 0; i < 64; ++i) ASSERT_EQ(entry(2, i), addmul(2, i));
   brew_func_variant variant;
   ASSERT_GE(brew_func_variants((void*)addmul, &variant, 1), 1u);
-  bool credited = false;
-  EXPECT_TRUE(brew::VariantDispatcher::withDispatcher(
-      (void*)addmul, [&](brew::VariantDispatcher& dispatcher) {
-        credited = dispatcher.absorbProfileSamples(variant.entry, 1);
-      }));
-  EXPECT_TRUE(credited);
   brew_dispatch_free(d);
   brew_freeConf(dconf);
 

@@ -1,9 +1,14 @@
 // Unit tests for the optimization passes (§IV) on hand-built captured
-// functions, plus end-to-end equivalence checks after each pass.
+// functions, plus end-to-end equivalence checks after each pass, and for
+// the tracer's zero-seeded accumulator fold on small assembled kernels.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/rewriter.hpp"
+#include "core/tracer.hpp"
 #include "ir/captured.hpp"
+#include "jit/assembler.hpp"
 
 namespace brew {
 namespace {
@@ -23,13 +28,11 @@ ir::CapturedFunction singleBlock(std::vector<isa::Instruction> instrs) {
   return fn;
 }
 
-PassOptions only(bool peephole, bool deadFlags, bool loads,
-                 bool zeroAdd = false) {
+PassOptions only(bool peephole, bool deadFlags, bool loads) {
   PassOptions options;
   options.peephole = peephole;
   options.deadFlagWriters = deadFlags;
   options.redundantLoads = loads;
-  options.foldZeroAdd = zeroAdd;
   options.mergeBlocks = false;  // structure-sensitive tests pick passes
   options.slpVectorize = false;
   options.crossIterLoads = false;
@@ -172,85 +175,152 @@ TEST(RedundantLoads, PoolConstantsSurviveStores) {
   EXPECT_EQ(fn.block(0).instrs[2].mnemonic, Mnemonic::Movapd);
 }
 
+// --- zero-seeded accumulator fold (tracer) ---------------------------------
+//
+// "pxor acc, acc; addsd acc, y" is a copy of y. The tracer folds it while
+// tracing, where it sees the lane states; these kernels are traced with a
+// default Config (every parameter unknown).
+
+ExecMemory finalizeOrDie(jit::Assembler& as) {
+  auto mem = as.finalizeExecutable();
+  EXPECT_TRUE(mem.ok()) << (mem.ok() ? "" : mem.error().message());
+  return std::move(*mem);
+}
+
+void emitSse(jit::Assembler& as, Mnemonic m, Operand dst, Operand src) {
+  as.emit(makeInstr(m, m == Mnemonic::Movapd || m == Mnemonic::Pxor ? 16 : 8,
+                    dst, src));
+}
+
+const Operand kAtRdi = Operand::makeMem(MemOperand{.base = Reg::rdi});
+
+// double f(const double* p): return 0.0 + *p, via a pxor-seeded xmm1.
+ExecMemory buildSeededSum() {
+  jit::Assembler as;
+  emitSse(as, Mnemonic::Pxor, Operand::makeReg(Reg::xmm1),
+          Operand::makeReg(Reg::xmm1));
+  emitSse(as, Mnemonic::Addsd, Operand::makeReg(Reg::xmm1), kAtRdi);
+  emitSse(as, Mnemonic::Movapd, Operand::makeReg(Reg::xmm0),
+          Operand::makeReg(Reg::xmm1));
+  as.ret();
+  return finalizeOrDie(as);
+}
+
+// Every captured instruction, in block order.
+std::vector<isa::Instruction> traceInstrs(const ExecMemory& kernel,
+                                          const double* arg) {
+  Tracer tracer{Config{}};
+  const ArgValue args[] = {ArgValue::fromPtr(arg)};
+  auto captured =
+      tracer.trace(reinterpret_cast<uint64_t>(kernel.data()), args);
+  EXPECT_TRUE(captured.ok())
+      << (captured.ok() ? "" : captured.error().message());
+  std::vector<isa::Instruction> out;
+  if (captured.ok())
+    for (const ir::Block& block : captured->blocks())
+      out.insert(out.end(), block.instrs.begin(), block.instrs.end());
+  return out;
+}
+
+size_t countOf(const std::vector<isa::Instruction>& instrs, Mnemonic m) {
+  size_t n = 0;
+  for (const isa::Instruction& in : instrs) n += in.mnemonic == m;
+  return n;
+}
+
+double rewriteAndCall(const ExecMemory& kernel, const double* arg) {
+  Rewriter rewriter{Config{}};
+  auto rewritten = rewriter.rewrite(kernel.data(), arg);
+  EXPECT_TRUE(rewritten.ok())
+      << (rewritten.ok() ? "" : rewritten.error().message());
+  return rewritten.ok() ? rewritten->as<double (*)(const double*)>()(arg)
+                        : 0.0;
+}
+
 TEST(ZeroAdd, FoldsSeededAccumulator) {
-  ir::CapturedFunction fn;
-  const int id = fn.newBlock(0x1000, 0);
-  const int zeroSlot = fn.addPoolConstant(0, 0);
-  MemOperand poolRef;
-  poolRef.ripRelative = true;
-  poolRef.poolSlot = zeroSlot;
-  const MemOperand load{.base = Reg::rdi};
-  fn.block(id).instrs = {
-      makeInstr(Mnemonic::Movsd, 8, Operand::makeReg(Reg::xmm1),
-                Operand::makeMem(poolRef)),
-      makeInstr(Mnemonic::Addsd, 8, Operand::makeReg(Reg::xmm1),
-                Operand::makeMem(load)),
-  };
-  fn.block(id).term.kind = ir::Terminator::Kind::Ret;
-  runPasses(fn, only(false, false, false, /*zeroAdd=*/true));
-  ASSERT_EQ(fn.block(0).instrs.size(), 1u);
-  EXPECT_EQ(fn.block(0).instrs[0].mnemonic, Mnemonic::Movsd);
-  EXPECT_TRUE(fn.block(0).instrs[0].ops[1].isMem());
+  const ExecMemory kernel = buildSeededSum();
+  const double y = 2.5;
+  const auto instrs = traceInstrs(kernel, &y);
+  EXPECT_EQ(countOf(instrs, Mnemonic::Addsd), 0u);
+  ASSERT_EQ(countOf(instrs, Mnemonic::Movsd), 1u);
+  for (const isa::Instruction& in : instrs)
+    if (in.mnemonic == Mnemonic::Movsd) {
+      EXPECT_EQ(in.ops[0].reg, Reg::xmm1);
+      EXPECT_TRUE(in.ops[1].isMem());
+    }
+  EXPECT_EQ(rewriteAndCall(kernel, &y), 2.5);
 }
 
 TEST(ZeroAdd, RegisterSourceBecomesMovq) {
-  ir::CapturedFunction fn;
-  const int id = fn.newBlock(0x1000, 0);
-  const int zeroSlot = fn.addPoolConstant(0, 0);
-  MemOperand poolRef;
-  poolRef.ripRelative = true;
-  poolRef.poolSlot = zeroSlot;
-  fn.block(id).instrs = {
-      makeInstr(Mnemonic::Movsd, 8, Operand::makeReg(Reg::xmm1),
-                Operand::makeMem(poolRef)),
-      makeInstr(Mnemonic::Addsd, 8, Operand::makeReg(Reg::xmm1),
-                Operand::makeReg(Reg::xmm0)),
-  };
-  fn.block(id).term.kind = ir::Terminator::Kind::Ret;
-  runPasses(fn, only(false, false, false, true));
-  ASSERT_EQ(fn.block(0).instrs.size(), 1u);
-  EXPECT_EQ(fn.block(0).instrs[0].mnemonic, Mnemonic::Movq);
+  // movsd xmm0, [rdi] materializes the source with a real zero high lane,
+  // so the seeded add becomes a register copy.
+  jit::Assembler as;
+  emitSse(as, Mnemonic::Movsd, Operand::makeReg(Reg::xmm0), kAtRdi);
+  emitSse(as, Mnemonic::Pxor, Operand::makeReg(Reg::xmm1),
+          Operand::makeReg(Reg::xmm1));
+  emitSse(as, Mnemonic::Addsd, Operand::makeReg(Reg::xmm1),
+          Operand::makeReg(Reg::xmm0));
+  emitSse(as, Mnemonic::Movapd, Operand::makeReg(Reg::xmm0),
+          Operand::makeReg(Reg::xmm1));
+  as.ret();
+  const ExecMemory kernel = finalizeOrDie(as);
+  const double y = -7.25;
+  const auto instrs = traceInstrs(kernel, &y);
+  EXPECT_EQ(countOf(instrs, Mnemonic::Addsd), 0u);
+  bool copied = false;
+  for (const isa::Instruction& in : instrs)
+    copied |= in.mnemonic == Mnemonic::Movapd && in.ops[0].reg == Reg::xmm1 &&
+              in.ops[1].isReg() && in.ops[1].reg == Reg::xmm0;
+  EXPECT_TRUE(copied) << "addsd xmm1, xmm0 should become a register copy";
+  EXPECT_EQ(rewriteAndCall(kernel, &y), -7.25);
 }
 
 TEST(ZeroAdd, InterveningUseBlocksTheFold) {
-  ir::CapturedFunction fn;
-  const int id = fn.newBlock(0x1000, 0);
-  const int zeroSlot = fn.addPoolConstant(0, 0);
-  MemOperand poolRef;
-  poolRef.ripRelative = true;
-  poolRef.poolSlot = zeroSlot;
-  fn.block(id).instrs = {
-      makeInstr(Mnemonic::Movsd, 8, Operand::makeReg(Reg::xmm1),
-                Operand::makeMem(poolRef)),
-      // xmm1 is read here: the seed is live, no fold allowed.
-      makeInstr(Mnemonic::Mulsd, 8, Operand::makeReg(Reg::xmm2),
-                Operand::makeReg(Reg::xmm1)),
-      makeInstr(Mnemonic::Addsd, 8, Operand::makeReg(Reg::xmm1),
-                Operand::makeReg(Reg::xmm0)),
-  };
-  fn.block(id).term.kind = ir::Terminator::Kind::Ret;
-  runPasses(fn, only(false, false, false, true));
-  EXPECT_EQ(fn.block(0).instrs.size(), 3u);
-  EXPECT_EQ(fn.block(0).instrs[0].mnemonic, Mnemonic::Movsd);
-  EXPECT_EQ(fn.block(0).instrs[2].mnemonic, Mnemonic::Addsd);
+  // Storing the seed reads it before the add: the seed is materialized and
+  // the add must stay a real addsd.
+  jit::Assembler as;
+  emitSse(as, Mnemonic::Pxor, Operand::makeReg(Reg::xmm1),
+          Operand::makeReg(Reg::xmm1));
+  emitSse(as, Mnemonic::Movsd,
+          Operand::makeMem(MemOperand{.base = Reg::rdi, .disp = 8}),
+          Operand::makeReg(Reg::xmm1));
+  emitSse(as, Mnemonic::Addsd, Operand::makeReg(Reg::xmm1), kAtRdi);
+  emitSse(as, Mnemonic::Movapd, Operand::makeReg(Reg::xmm0),
+          Operand::makeReg(Reg::xmm1));
+  as.ret();
+  const ExecMemory kernel = finalizeOrDie(as);
+  double buf[2] = {4.0, 99.0};
+  EXPECT_EQ(countOf(traceInstrs(kernel, buf), Mnemonic::Addsd), 1u);
+  EXPECT_EQ(rewriteAndCall(kernel, buf), 4.0);
+  EXPECT_EQ(buf[1], 0.0);
 }
 
 TEST(ZeroAdd, NonZeroPoolConstantNotTouched) {
-  ir::CapturedFunction fn;
-  const int id = fn.newBlock(0x1000, 0);
-  const int slot = fn.addPoolConstant(0x3FF0000000000000ull);  // 1.0
-  MemOperand poolRef;
-  poolRef.ripRelative = true;
-  poolRef.poolSlot = slot;
-  fn.block(id).instrs = {
-      makeInstr(Mnemonic::Movsd, 8, Operand::makeReg(Reg::xmm1),
-                Operand::makeMem(poolRef)),
-      makeInstr(Mnemonic::Addsd, 8, Operand::makeReg(Reg::xmm1),
-                Operand::makeReg(Reg::xmm0)),
-  };
-  fn.block(id).term.kind = ir::Terminator::Kind::Ret;
-  runPasses(fn, only(false, false, false, true));
-  EXPECT_EQ(fn.block(0).instrs.size(), 2u);
+  // A known 1.0 accumulator is no zero seed: 1.0 + y needs the add.
+  jit::Assembler as;
+  as.movRegImm(Reg::rax, 0x3ff0000000000000LL);  // 1.0
+  emitSse(as, Mnemonic::Movq, Operand::makeReg(Reg::xmm1),
+          Operand::makeReg(Reg::rax));
+  emitSse(as, Mnemonic::Addsd, Operand::makeReg(Reg::xmm1), kAtRdi);
+  emitSse(as, Mnemonic::Movapd, Operand::makeReg(Reg::xmm0),
+          Operand::makeReg(Reg::xmm1));
+  as.ret();
+  const ExecMemory kernel = finalizeOrDie(as);
+  const double y = 0.5;
+  EXPECT_EQ(countOf(traceInstrs(kernel, &y), Mnemonic::Addsd), 1u);
+  EXPECT_EQ(rewriteAndCall(kernel, &y), 1.5);
+}
+
+TEST(ZeroAdd, NegativeZeroKeepsItsSign) {
+  // The documented caveat: natively 0.0 + -0.0 is +0.0, the folded copy
+  // returns -0.0. Equal as doubles, different in the sign bit.
+  const ExecMemory kernel = buildSeededSum();
+  const double y = -0.0;
+  const double native = kernel.entry<double (*)(const double*)>()(&y);
+  const double folded = rewriteAndCall(kernel, &y);
+  EXPECT_FALSE(std::signbit(native));
+  EXPECT_TRUE(std::signbit(folded));
+  EXPECT_EQ(native, folded);
 }
 
 TEST(MergeBlocks, CollapsesJmpChains) {
@@ -258,7 +328,6 @@ TEST(MergeBlocks, CollapsesJmpChains) {
   options.peephole = false;
   options.deadFlagWriters = false;
   options.redundantLoads = false;
-  options.foldZeroAdd = false;
   options.mergeBlocks = true;
 
   ir::CapturedFunction fn;
@@ -293,7 +362,6 @@ TEST(MergeBlocks, SharedSuccessorNotMerged) {
   options.peephole = false;
   options.deadFlagWriters = false;
   options.redundantLoads = false;
-  options.foldZeroAdd = false;
   options.mergeBlocks = true;
 
   // Two predecessors jump to the same block: no merge allowed.
