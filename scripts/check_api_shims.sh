@@ -56,12 +56,11 @@ if [ -n "$cache_env_offenders" ]; then
   exit 1
 fi
 
-# One environment-variable table: every BREW_* name passed to getenv or
-# envSize on a non-comment line under src/ is in the "Quick reference"
-# table of docs/OBSERVABILITY.md, and the table lists no name src/ no
-# longer reads.
-read_vars=$(grep -rhE '(getenv|envSize)\("BREW_' src | grep -vE "$comment" \
-  | grep -oE '(getenv|envSize)\("BREW_[A-Z0-9_]+"' \
+# One environment-variable table: every BREW_* name passed to getenv on a
+# non-comment line under src/ is in the "Quick reference" table of
+# docs/OBSERVABILITY.md, and the table lists no name src/ no longer reads.
+read_vars=$(grep -rhE 'getenv\("BREW_' src | grep -vE "$comment" \
+  | grep -oE 'getenv\("BREW_[A-Z0-9_]+"' \
   | grep -oE 'BREW_[A-Z0-9_]+' | sort -u)
 table_vars=$(sed -n '/^## Quick reference/,/^## [^Q]/p' docs/OBSERVABILITY.md \
   | grep -oE '^\|[[:space:]]*`BREW_[A-Z0-9_]+' \

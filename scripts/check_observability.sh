@@ -3,11 +3,9 @@
 #
 #   scripts/check_observability.sh path/to/quickstart path/to/support_crash_test
 #
-# 1. Runs the quickstart example under BREW_PROFILE_HZ + BREW_PROFILE_FILE
-#    + BREW_STATS=1 and asserts the profile JSON has the documented
-#    structure and the stats summary reports histogram quantiles. The
-#    example is too short to guarantee a SIGPROF tick lands, so sample
-#    COUNTS are not asserted — only that the profiler ran and exported.
+# 1. Runs the quickstart example under BREW_STATS=1 + BREW_TRACE_FILE and
+#    asserts the stats summary reports histogram quantiles and the trace
+#    file was written as trace-event JSON, with no temporary left behind.
 # 2. Runs the crash-attribution suite and asserts the forked children's
 #    reports (inherited stderr) name a specialization and carry the flight
 #    recorder dump.
@@ -23,29 +21,20 @@ fail() {
   exit 1
 }
 
-# --- 1: profiler export + quantile summary over a real workload ---------
+# --- 1: quantile summary + trace export over a real workload ------------
 
-BREW_PROFILE_HZ=499 BREW_PROFILE_FILE="$tmp/profile.json" BREW_STATS=1 \
+BREW_STATS=1 BREW_TRACE_FILE="$tmp/trace.json" \
   "$quickstart" >"$tmp/quickstart.log" 2>&1 \
-  || fail "quickstart failed under BREW_PROFILE_HZ (see $tmp/quickstart.log)"
+  || fail "quickstart failed under BREW_STATS (see $tmp/quickstart.log)"
 
-[ -f "$tmp/profile.json" ] || fail "BREW_PROFILE_FILE was not written"
-python3 - "$tmp/profile.json" <<'EOF' || exit 1
+[ -s "$tmp/trace.json" ] || fail "BREW_TRACE_FILE was not written"
+python3 - "$tmp/trace.json" <<'EOF' || exit 1
 import json, sys
 with open(sys.argv[1]) as f:
-    p = json.load(f)
-for key in ("hz", "total_samples", "brew_samples", "dropped_samples",
-            "entries"):
-    if key not in p:
-        print(f"FAIL: profile JSON missing {key!r}", file=sys.stderr)
-        sys.exit(1)
-if p["hz"] != 499:
-    print(f"FAIL: profile hz is {p['hz']}, expected 499", file=sys.stderr)
+    t = json.load(f)
+if not isinstance(t.get("traceEvents"), list):
+    print("FAIL: trace JSON has no traceEvents list", file=sys.stderr)
     sys.exit(1)
-for row in p["entries"]:
-    if "name" not in row or "samples" not in row:
-        print("FAIL: malformed profile entry", file=sys.stderr)
-        sys.exit(1)
 EOF
 
 # BREW_STATS=1 must report the tail quantiles the HDR histograms exist for.
@@ -54,7 +43,7 @@ grep -q "p50" "$tmp/quickstart.log" \
 grep -q "p999" "$tmp/quickstart.log" \
   || fail "BREW_STATS summary lacks p999"
 
-# No leftover .tmp from the crash-safe exporters.
+# No leftover .tmp from the crash-safe exporter.
 for f in "$tmp"/*.tmp; do
   if [ -e "$f" ]; then fail "exporter left temporary file $f"; fi
 done

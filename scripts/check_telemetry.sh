@@ -35,16 +35,17 @@ cmake --build build-tsan -j"$(nproc)" \
 cd build-tsan
 ctest -L concurrency --output-on-failure -j"$(nproc)"
 
-# The hammers race ring pushes against drains (profiler) and async
-# variant installs against epoch bumps (dispatch); one clean pass can be
-# luck, so each also runs ten times in a row.
+# The hammers race region registration against lock-free lookups (the
+# code-region index) and async variant installs against epoch bumps
+# (dispatch); one clean pass can be luck, so each also runs ten times in a
+# row.
 ./tests/support_profiler_test \
-  --gtest_filter='Profiler.ConcurrentInjectRegisterDrainHammer' \
+  --gtest_filter='CodeRegionIndex.ConcurrentRegisterLookupHammer' \
   --gtest_repeat=10 > /dev/null
 ./tests/core_dispatch_test \
   --gtest_filter='DispatchHammer.ConcurrentMixedKeysWithEpochBumps' \
   --gtest_repeat=10 > /dev/null
-echo "profiler and dispatch hammers TSan-clean over 10 repeats"
+echo "code-region index and dispatch hammers TSan-clean over 10 repeats"
 
 # The vectorizer must also report itself: a BREW_STATS run over the
 # differential suite has to show the passes.* counters moving (a silent

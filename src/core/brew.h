@@ -17,7 +17,8 @@
  * two identical brew_rewrite2 calls trace once and share refcounted code
  * (see brew_getcachestats). Runtime knobs (worker count, cache budget,
  * shard count, variant limits) enter through ONE object — brew_options +
- * brew_configure — with environment variables as documented fallbacks.
+ * brew_configure — and have no environment fallback; only the cache
+ * directory does (BREW_CACHE_DIR).
  *
  * Parameter indices are 1-based like in the paper. Rewriting failure is not
  * catastrophic: brew_rewrite2 returns NULL and the caller keeps using the
@@ -126,16 +127,10 @@ void brew_set_store_handler(brew_conf* conf, brew_handler handler);
  * object, set what you need, and pass it to brew_configure BEFORE the
  * first rewrite; the process-wide specialization manager is constructed
  * from it on first use. brew_options_init seeds every field from its
- * default, except two deployment settings that fall back to the
- * environment, so configuring nothing is exactly the env-driven behavior:
- *
- *   BREW_PROFILE_HZ     sampling-profiler frequency, 0 = off (default 0)
- *   BREW_CACHE_DIR      persistent on-disk specialization-cache directory
- *                       (default unset = persistence off; see docs/CACHE.md)
- *
- * The environment is parsed in exactly one place
- * (SpecManager::Options::fromEnv); no other component reads these
- * variables. */
+ * default, except the cache directory, which falls back to BREW_CACHE_DIR
+ * (parsed once, in SpecManager::Options::fromEnv). Every environment
+ * variable the library reads is listed in the docs/OBSERVABILITY.md
+ * "Quick reference" table. */
 typedef struct brew_options brew_options;
 
 brew_options* brew_options_init(void);
@@ -156,8 +151,9 @@ void brew_options_set_dispatch_ways(brew_options* options, size_t ways);
 void brew_options_set_sample_calls(brew_options* options, size_t calls);
 /* Resolver events between decay rounds (score halvings). */
 void brew_options_set_decay_interval(brew_options* options, uint64_t events);
-/* Sampling-profiler frequency in Hz (clamped to [1, 10000]; 0 disables).
- * The profiler starts with the runtime when > 0. */
+/* No-op, kept for source compatibility: the in-process sampling profiler
+ * is gone. Attribute CPU time to specializations with Linux perf through
+ * BREW_PERF_MAP or BREW_JITDUMP (docs/OBSERVABILITY.md). */
 void brew_options_set_profile_hz(brew_options* options, int hz);
 /* Persistent on-disk specialization cache directory (copied; NULL or ""
  * disables persistence). Entries are keyed by the executable's build id
@@ -373,17 +369,9 @@ size_t brew_func_variants(const void* fn, brew_func_variant* out, size_t cap);
  * emit, install, cache, dispatch, executable memory). Names are stable
  * dotted identifiers ("cache.hits", "phase.emit_ns", ...). The cache
  * counters here and brew_getcachestats() are two views over the same
- * events.
- *
- * Related environment switches (see docs/OBSERVABILITY.md):
- *   BREW_STATS=1            human-readable summary on stderr at exit
- *   BREW_TRACE_FILE=<path>  Chrome trace-event JSON timeline at exit
- *   BREW_PERF_MAP=1         /tmp/perf-<pid>.map symbols for perf
- *   BREW_JITDUMP=1|<dir>    jitdump file for `perf inject --jit`
- *   BREW_PROFILE_HZ=<hz>    in-process sampling profiler
- *   BREW_PROFILE_FILE=<p>   profile JSON at exit
- *   BREW_CRASH_FILE=<p>     crash-attribution report copy (also on stderr)
- *   BREW_CRASH_HANDLER=0    disable the crash-report signal handlers
+ * events. The environment switches (BREW_STATS, BREW_TRACE_FILE, the perf
+ * bridges, crash reports) are listed in the docs/OBSERVABILITY.md "Quick
+ * reference" table.
  */
 
 enum { BREW_TELEMETRY_MAX_INSTRUMENTS = 64 };
@@ -437,41 +425,6 @@ int brew_telemetry_write_trace(const char* path);
 /* Zeroes every counter/gauge/histogram (tests, phase boundaries). Does not
  * touch brew_getcachestats(): per-cache stats are reset by brew_cache_reset. */
 void brew_telemetry_reset(void);
-
-/* ---- in-process sampling profiler ------------------------------------ */
-
-/* SIGPROF-driven CPU sampling (docs/OBSERVABILITY.md). Samples landing
- * inside rewritten code are attributed to the owning specialization by
- * name; everything else counts toward total_samples only. Start it with
- * brew_options_set_profile_hz / BREW_PROFILE_HZ, or explicitly here. */
-
-enum { BREW_PROFILE_MAX_ENTRIES = 64 };
-
-typedef struct brew_profile_entry {
-  char name[96];    /* specialization symbol, e.g. brew_fn_1234_abcd */
-  uint64_t samples; /* CPU samples attributed to this region */
-} brew_profile_entry;
-
-typedef struct brew_profile {
-  int hz;                   /* 0 when the profiler never ran */
-  uint64_t total_samples;   /* all SIGPROF ticks observed */
-  uint64_t brew_samples;    /* ticks inside rewritten code */
-  uint64_t dropped_samples; /* ring-full ticks (attribution lost) */
-  size_t entry_count;
-  brew_profile_entry entries[BREW_PROFILE_MAX_ENTRIES];
-} brew_profile;
-
-/* Starts sampling at `hz` (clamped to [1, 10000]). Returns 0 on success
- * and when already running (the running rate is kept), -1 if the timer
- * could not be armed. */
-int brew_profile_start(int hz);
-/* Stops the timer and drains outstanding samples. Safe when not running. */
-void brew_profile_stop(void);
-/* Drains and snapshots the profile, hottest specialization first. */
-void brew_profile_snapshot(brew_profile* out);
-/* Writes the full profile (all entries) as JSON; 0 on success, -1 on I/O
- * failure. Also written at exit to BREW_PROFILE_FILE when set. */
-int brew_profile_write_json(const char* path);
 
 /* Message for the most recent brew_rewrite2 failure on this conf *on the
  * calling thread* (thread-local, so concurrent rewriters do not clobber

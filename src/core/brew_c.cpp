@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstdarg>
-#include <cstdio>
 #include <map>
 #include <string>
 
@@ -15,7 +14,6 @@
 #include "core/rewriter.hpp"
 #include "core/spec_manager.hpp"
 #include "support/persist_cache.hpp"
-#include "support/profiler.hpp"
 #include "support/telemetry.hpp"
 
 struct brew_func {
@@ -232,9 +230,7 @@ void brew_options_set_decay_interval(brew_options* options, uint64_t events) {
     options->impl.dispatch.decayInterval = events;
 }
 
-void brew_options_set_profile_hz(brew_options* options, int hz) {
-  if (options != nullptr && hz >= 0) options->impl.profileHz = hz;
-}
+void brew_options_set_profile_hz(brew_options*, int) {}
 
 void brew_options_set_cache_dir(brew_options* options, const char* dir) {
   if (options != nullptr) options->impl.cacheDir = dir != nullptr ? dir : "";
@@ -502,34 +498,6 @@ int brew_telemetry_write_trace(const char* path) {
 }
 
 void brew_telemetry_reset(void) { brew::telemetry::resetAll(); }
-
-/* ---- sampling profiler ----------------------------------------------- */
-
-int brew_profile_start(int hz) {
-  return brew::prof::startProfiler(hz) ? 0 : -1;
-}
-
-void brew_profile_stop(void) { brew::prof::stopProfiler(); }
-
-void brew_profile_snapshot(brew_profile* out) {
-  if (out == nullptr) return;
-  *out = brew_profile{};
-  const brew::prof::ProfileSnapshot snap = brew::prof::profileSnapshot();
-  out->hz = snap.hz;
-  out->total_samples = snap.totalSamples;
-  out->brew_samples = snap.brewSamples;
-  out->dropped_samples = snap.droppedSamples;
-  for (const auto& e : snap.entries) {
-    if (out->entry_count >= BREW_PROFILE_MAX_ENTRIES) break;
-    brew_profile_entry& row = out->entries[out->entry_count++];
-    std::snprintf(row.name, sizeof row.name, "%s", e.name.c_str());
-    row.samples = e.samples;
-  }
-}
-
-int brew_profile_write_json(const char* path) {
-  return path != nullptr && brew::prof::writeProfileJson(path) ? 0 : -1;
-}
 
 const char* brew_lastError(const brew_conf* conf) {
   if (conf == nullptr) return "null conf";

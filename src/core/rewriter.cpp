@@ -1,9 +1,11 @@
 #include "core/rewriter.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "core/spec_manager.hpp"
 #include "isa/printer.hpp"
+#include "support/hexdump.hpp"
 #include "support/log.hpp"
 #include "support/perf_map.hpp"
 #include "support/profiler.hpp"
@@ -83,10 +85,19 @@ const ir::EmitStats& RewrittenFunction::emitStats() const {
 std::string RewrittenFunction::disassembly() const {
   if (!handle_) return {};
   const ExecMemory& memory = handle_->memory;
-  return isa::disassemble(
-      std::span<const uint8_t>(memory.data(), memory.size()),
-      reinterpret_cast<uint64_t>(memory.data()),
-      /*maxInstructions=*/100000);
+  const std::span<const uint8_t> bytes(memory.data(), memory.size());
+  const size_t codeBytes =
+      std::min(handle_->emitStats.codeBytes, bytes.size());
+  const auto base = reinterpret_cast<uint64_t>(memory.data());
+  std::string out = isa::disassemble(bytes.first(codeBytes), base,
+                                     /*maxInstructions=*/100000);
+  const size_t poolBytes =
+      std::min(handle_->emitStats.poolBytes, bytes.size() - codeBytes);
+  if (poolBytes > 0) {
+    out += "literal pool:\n";
+    out += hexDump(bytes.subspan(codeBytes, poolBytes), base + codeBytes);
+  }
+  return out;
 }
 
 Result<CodeHandle> compileSpecialization(const Config& config,

@@ -6,7 +6,6 @@
 #include "support/log.hpp"
 #include "support/perf_map.hpp"
 #include "support/persist_cache.hpp"
-#include "support/profiler.hpp"
 #include "support/telemetry.hpp"
 
 namespace brew {
@@ -31,17 +30,6 @@ uint64_t fnvBytes(uint64_t h, const void* data, size_t size) {
     h *= kFnvPrime;
   }
   return h;
-}
-
-// env helper for Options::fromEnv: positive integer or fallthrough.
-bool envSize(const char* name, size_t* out) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return false;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(env, &end, 10);
-  if (end == env || parsed == 0) return false;
-  *out = static_cast<size_t>(parsed);
-  return true;
 }
 
 // Deferred construction state for the process-wide manager: options staged
@@ -163,8 +151,6 @@ void RewriteBatch::complete(size_t index, Result<CodeHandle> result) {
 SpecManager::Options SpecManager::Options::fromEnv() {
   static const Options cached = [] {
     Options o;
-    size_t v = 0;
-    if (envSize("BREW_PROFILE_HZ", &v)) o.profileHz = static_cast<int>(v);
     if (const char* d = std::getenv("BREW_CACHE_DIR"))
       if (d[0] != '\0') o.cacheDir = d;
     return o;
@@ -176,12 +162,6 @@ SpecManager::SpecManager(Options options)
     : options_(options),
       cache_(options.cacheBytes, options.cacheShards) {
   if (options_.workers < 1) options_.workers = 1;
-  // Profiler autostart: an explicit option wins, 0 defers to the env
-  // fallback.
-  if (options_.profileHz == 0)
-    options_.profileHz = Options::fromEnv().profileHz;
-  if (options_.profileHz > 0 && !prof::profilerRunning())
-    prof::startProfiler(options_.profileHz);
   if (!options_.cacheDir.empty()) {
     persist_ = persist::Store::open(options_.cacheDir);
     if (persist_ == nullptr)

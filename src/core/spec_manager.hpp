@@ -101,7 +101,7 @@ class RewriteBatch {
 
 // Tuning for the profile-guided multi-version dispatcher
 // (core/dispatch.hpp). Lives here so it rides inside SpecManager::Options —
-// the one configuration object behind brew_options and the env fallbacks.
+// the one configuration object behind brew_options and the env fallback.
 struct DispatchOptions {
   size_t maxVariants = 4;     // live specialized variants per function (N)
   size_t inlineWays = 2;      // inline-cache ways in the dispatch stub [1,4]
@@ -117,7 +117,6 @@ class SpecManager {
     int workers = 2;                                  // async pool size
     size_t cacheBytes = CodeCache::kDefaultByteBudget;
     size_t cacheShards = 0;  // 0 = CodeCache default (16)
-    int profileHz = 0;       // 0 = BREW_PROFILE_HZ env / off
     // Persistent on-disk specialization cache directory (see
     // support/persist_cache.hpp). Empty = persistence disabled; the
     // BREW_CACHE_DIR env fallback applies only through fromEnv(), so
@@ -125,10 +124,9 @@ class SpecManager {
     std::string cacheDir{};
     DispatchOptions dispatch{};
 
-    // The ONE place the deployment env fallbacks are parsed (each read
-    // once per process): BREW_CACHE_DIR and BREW_PROFILE_HZ. Unset/invalid
-    // variables keep the field defaults above. Every tuning knob is set
-    // through brew_options / configureProcess.
+    // The ONE place the deployment env fallback is parsed (read once per
+    // process): BREW_CACHE_DIR. Unset or empty keeps the default above.
+    // Every tuning knob is set through brew_options / configureProcess.
     static Options fromEnv();
   };
 

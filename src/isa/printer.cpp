@@ -143,7 +143,6 @@ std::string disassemble(std::span<const uint8_t> bytes, uint64_t address,
     out += toString(*instr);
     out += '\n';
     offset += instr->length;
-    if (instr->mnemonic == Mnemonic::Ret) break;  // stop at function end
   }
   return out;
 }

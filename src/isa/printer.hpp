@@ -15,8 +15,10 @@ std::string toString(const Operand& op, unsigned widthBytes,
                      const Instruction* context = nullptr);
 std::string toString(const Instruction& instr);
 
-// Disassembles a code range; stops at the first undecodable byte (noting it)
-// or after `maxInstructions`. One instruction per line, with addresses.
+// Disassembles the whole code range, past any `ret` (generated units place
+// blocks after their first return); stops early only at the first
+// undecodable byte (noting it) or after `maxInstructions`. One instruction
+// per line, with addresses.
 std::string disassemble(std::span<const uint8_t> bytes, uint64_t address,
                         size_t maxInstructions = 10000);
 

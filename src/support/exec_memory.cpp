@@ -59,7 +59,7 @@ void recordMutation(const void* base, size_t size) noexcept {
 
 void notifyFree(const void* base, size_t size) noexcept {
   recordMutation(base, size);
-  // The profiler/crash-attribution index drops the range here, symmetric
+  // The crash-attribution index drops the range here, symmetric
   // with registerGeneratedCode at install (separate from the single-slot
   // ExecFreeHook, which the specialization cache owns).
   prof::unregisterCodeRegion(base, size);

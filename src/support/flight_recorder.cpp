@@ -45,8 +45,6 @@ constexpr const char* kEventNames[] = {
     "dispatch.epoch_bump",
     "dispatch.variant_fail",
     "code.mutation",
-    "profiler.start",
-    "profiler.stop",
     "test.mark",
 };
 

@@ -25,8 +25,6 @@ enum class Event : uint32_t {
   DispatchEpochBump, // a=fn, b=new epoch
   DispatchVariantFail,  // a=fn, b=key
   CodeMutation,      // a=base, b=size
-  ProfilerStart,     // a=hz
-  ProfilerStop,      // a=total samples
   TestMark,          // tests: a/b/c caller-defined
 };
 

@@ -27,8 +27,8 @@ bool codeRegistrationEnabled() noexcept;
 void perfMapRegister(const void* code, size_t size, const char* name);
 
 // The one-stop install hook: formats the provenance name once, always
-// publishes the region in the in-process code-region index (profiler +
-// crash attribution, support/profiler.hpp), and forwards to the perf
+// publishes the region in the in-process code-region index (crash
+// attribution, support/profiler.hpp), and forwards to the perf
 // map/jitdump sinks when they are enabled. Every generated blob —
 // specializations, dispatch stubs, persisted code — goes through here.
 void registerGeneratedCode(const void* code, size_t size, const void* fn,

@@ -2,23 +2,16 @@
 
 #include <fcntl.h>
 #include <signal.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <thread>
-#include <unordered_map>
 
 #include "support/flight_recorder.hpp"
 #include "support/sigsafe_fmt.hpp"
-#include "support/telemetry.hpp"
 
 #if defined(__x86_64__)
 #include <ucontext.h>
@@ -31,9 +24,9 @@ namespace {
 // ---------------------------------------------------------------------------
 // Code-region index. Fixed slot table published through per-slot seqlocks:
 // writers (install/free paths) serialize on a mutex and flip the slot's
-// sequence odd while mutating; readers (SIGPROF handler, crash handler)
-// scan lock-free and revalidate the sequence after copying. No allocation
-// anywhere near a reader.
+// sequence odd while mutating; readers (the crash handler, any thread
+// calling lookupCodeRegion) scan lock-free and revalidate the sequence
+// after copying. No allocation anywhere near a reader.
 // ---------------------------------------------------------------------------
 
 constexpr size_t kMaxRegions = 1024;
@@ -70,119 +63,6 @@ void writeSlotLocked(RegionSlot& s, uint64_t base, uint64_t size,
   s.name[n].store('\0', std::memory_order_relaxed);
   s.base.store(base, std::memory_order_relaxed);
   s.seq.store(seq + 2, std::memory_order_release);  // even: published
-}
-
-// ---------------------------------------------------------------------------
-// Sample rings. One SPSC ring per sampled thread, claimed once from a
-// fixed pool by the first SIGPROF the thread takes (a relaxed fetch_add —
-// no locks, no allocation in the handler). The drain thread is the single
-// consumer for every ring. The pool is static (zero-initialized, so it costs
-// no resident memory until a ring is used): the handler, injectors and
-// drainer all read it without any publication step to race on.
-// ---------------------------------------------------------------------------
-
-constexpr size_t kRingCapacity = 4096;  // power of two
-constexpr uint32_t kMaxRings = 128;
-
-struct SampleRing {
-  std::atomic<uint64_t> head{0};  // writer (signal handler)
-  std::atomic<uint64_t> tail{0};  // consumer (drain thread)
-  uint64_t pc[kRingCapacity];
-};
-
-constinit SampleRing g_rings[kMaxRings];
-std::atomic<uint32_t> g_ringCount{0};   // claimed slots
-thread_local SampleRing* t_ring = nullptr;
-std::atomic<uint64_t> g_dropped{0};
-std::atomic<bool> g_sampling{false};
-
-void pushSample(uint64_t pc) noexcept {
-  SampleRing* ring = t_ring;
-  if (ring == nullptr) {
-    const uint32_t idx = g_ringCount.fetch_add(1, std::memory_order_relaxed);
-    if (idx >= kMaxRings) {
-      g_ringCount.store(kMaxRings, std::memory_order_relaxed);
-      g_dropped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    ring = &g_rings[idx];
-    t_ring = ring;
-  }
-  const uint64_t head = ring->head.load(std::memory_order_relaxed);
-  if (head - ring->tail.load(std::memory_order_acquire) >= kRingCapacity) {
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  ring->pc[head & (kRingCapacity - 1)] = pc;
-  ring->head.store(head + 1, std::memory_order_release);
-}
-
-void onProfSignal(int, siginfo_t*, void* ucontext) {
-  if (!g_sampling.load(std::memory_order_relaxed)) return;
-  const int savedErrno = errno;
-#if defined(__x86_64__)
-  const auto* uc = static_cast<const ucontext_t*>(ucontext);
-  pushSample(static_cast<uint64_t>(uc->uc_mcontext.gregs[REG_RIP]));
-#else
-  (void)ucontext;
-  g_dropped.fetch_add(1, std::memory_order_relaxed);
-#endif
-  errno = savedErrno;
-}
-
-// ---------------------------------------------------------------------------
-// Drain thread and aggregation
-// ---------------------------------------------------------------------------
-
-std::mutex g_ctlMu;    // start/stop lifecycle
-std::mutex g_drainMu;  // serializes drain passes
-std::mutex g_aggMu;    // protects the aggregates below
-
-std::unordered_map<std::string, uint64_t>& samplesByName() {
-  static auto* m = new std::unordered_map<std::string, uint64_t>();
-  return *m;
-}
-uint64_t g_totalSamples = 0;  // under g_aggMu
-uint64_t g_brewSamples = 0;   // under g_aggMu
-std::atomic<int> g_hz{0};
-
-std::thread* g_drainThread = nullptr;  // leaked on stop-less exit
-std::condition_variable g_drainCv;
-bool g_drainStop = false;  // under g_ctlMu
-bool g_running = false;    // under g_ctlMu
-
-void drainPass() {
-  std::lock_guard<std::mutex> drainLock(g_drainMu);
-  const uint32_t rings =
-      std::min(g_ringCount.load(std::memory_order_acquire), kMaxRings);
-  if (rings == 0) return;
-  std::lock_guard<std::mutex> aggLock(g_aggMu);
-  auto& byName = samplesByName();
-  for (uint32_t i = 0; i < rings; ++i) {
-    SampleRing& ring = g_rings[i];
-    const uint64_t head = ring.head.load(std::memory_order_acquire);
-    uint64_t tail = ring.tail.load(std::memory_order_relaxed);
-    for (; tail != head; ++tail) {
-      const uint64_t pc = ring.pc[tail & (kRingCapacity - 1)];
-      ++g_totalSamples;
-      CodeRegion region;
-      if (lookupCodeRegion(pc, &region)) {
-        ++g_brewSamples;
-        byName[region.name] += 1;
-      }
-    }
-    ring.tail.store(tail, std::memory_order_release);
-  }
-}
-
-void drainLoop() {
-  std::unique_lock<std::mutex> lock(g_ctlMu);
-  while (!g_drainStop) {
-    g_drainCv.wait_for(lock, std::chrono::milliseconds(20));
-    lock.unlock();
-    drainPass();
-    lock.lock();
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -321,13 +201,7 @@ void onCrashSignal(int sig, siginfo_t* info, void* ucontext) {
 // telemetry's BREW_TRACE_FILE/BREW_STATS)
 // ---------------------------------------------------------------------------
 
-const char* g_profilePath = nullptr;
 bool g_crashHandlerAllowed = true;
-
-void atExitProfile() {
-  drainSamplesNow();
-  if (g_profilePath != nullptr) writeProfileJson(g_profilePath);
-}
 
 struct EnvInit {
   EnvInit() {
@@ -338,11 +212,6 @@ struct EnvInit {
     if (const char* off = std::getenv("BREW_CRASH_HANDLER");
         off != nullptr && off[0] == '0')
       g_crashHandlerAllowed = false;
-    if (const char* path = std::getenv("BREW_PROFILE_FILE");
-        path != nullptr && path[0] != '\0') {
-      g_profilePath = path;
-      std::atexit(&atExitProfile);
-    }
   }
 };
 EnvInit g_envInit;
@@ -429,146 +298,6 @@ bool lookupCodeRegion(uint64_t pc, CodeRegion* out) noexcept {
 
 size_t codeRegionCount() noexcept {
   return g_regionCount.load(std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// Profiler lifecycle
-// ---------------------------------------------------------------------------
-
-bool profilerRunning() noexcept {
-  std::lock_guard<std::mutex> lock(g_ctlMu);
-  return g_running;
-}
-
-bool startProfiler(int hz) {
-  hz = std::clamp(hz, 1, 10000);
-  std::unique_lock<std::mutex> lock(g_ctlMu);
-  if (g_running) return true;
-  installCrashHandler();
-
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof sa);
-  sa.sa_sigaction = &onProfSignal;
-  sa.sa_flags = SA_RESTART | SA_SIGINFO;
-  sigemptyset(&sa.sa_mask);
-  if (::sigaction(SIGPROF, &sa, nullptr) != 0) return false;
-
-  g_sampling.store(true, std::memory_order_release);
-  struct itimerval timer;
-  timer.it_interval.tv_sec = 0;
-  timer.it_interval.tv_usec = std::max(1L, 1000000L / hz);
-  timer.it_value = timer.it_interval;
-  if (::setitimer(ITIMER_PROF, &timer, nullptr) != 0) {
-    g_sampling.store(false, std::memory_order_release);
-    return false;
-  }
-
-  g_hz.store(hz, std::memory_order_relaxed);
-  g_drainStop = false;
-  g_drainThread = new std::thread(&drainLoop);
-  g_running = true;
-  lock.unlock();
-  flight::record(flight::Event::ProfilerStart, static_cast<uint64_t>(hz));
-  return true;
-}
-
-void stopProfiler() {
-  std::unique_lock<std::mutex> lock(g_ctlMu);
-  if (!g_running) return;
-  struct itimerval off;
-  std::memset(&off, 0, sizeof off);
-  ::setitimer(ITIMER_PROF, &off, nullptr);
-  g_sampling.store(false, std::memory_order_release);
-  g_drainStop = true;
-  std::thread* t = g_drainThread;
-  g_drainThread = nullptr;
-  g_running = false;
-  g_drainCv.notify_all();
-  lock.unlock();
-  if (t != nullptr) {
-    t->join();
-    delete t;
-  }
-  drainPass();  // samples still parked in the rings
-  uint64_t total = 0;
-  {
-    std::lock_guard<std::mutex> aggLock(g_aggMu);
-    total = g_totalSamples;
-  }
-  flight::record(flight::Event::ProfilerStop, total);
-}
-
-void drainSamplesNow() { drainPass(); }
-
-void injectSampleForTest(uint64_t pc) noexcept { pushSample(pc); }
-
-ProfileSnapshot profileSnapshot() {
-  drainPass();
-  ProfileSnapshot snap;
-  snap.hz = static_cast<uint64_t>(g_hz.load(std::memory_order_relaxed));
-  snap.droppedSamples = g_dropped.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(g_aggMu);
-  snap.totalSamples = g_totalSamples;
-  snap.brewSamples = g_brewSamples;
-  snap.entries.reserve(samplesByName().size());
-  for (const auto& [name, samples] : samplesByName())
-    snap.entries.push_back({name, samples});
-  std::sort(snap.entries.begin(), snap.entries.end(),
-            [](const ProfileEntry& a, const ProfileEntry& b) {
-              return a.samples != b.samples ? a.samples > b.samples
-                                            : a.name < b.name;
-            });
-  return snap;
-}
-
-bool writeProfileJson(const char* path) {
-  if (path == nullptr) return false;
-  const ProfileSnapshot snap = profileSnapshot();
-  std::string tmpPath = std::string(path) + ".tmp";
-  std::FILE* f = std::fopen(tmpPath.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f,
-               "{\n  \"hz\": %llu,\n  \"total_samples\": %llu,\n"
-               "  \"brew_samples\": %llu,\n  \"dropped_samples\": %llu,\n"
-               "  \"entries\": [",
-               static_cast<unsigned long long>(snap.hz),
-               static_cast<unsigned long long>(snap.totalSamples),
-               static_cast<unsigned long long>(snap.brewSamples),
-               static_cast<unsigned long long>(snap.droppedSamples));
-  for (size_t i = 0; i < snap.entries.size(); ++i) {
-    std::string escaped;
-    for (char c : snap.entries[i].name) {
-      if (c == '"' || c == '\\') escaped += '\\';
-      escaped += c;
-    }
-    std::fprintf(f, "%s\n    {\"name\": \"%s\", \"samples\": %llu}",
-                 i > 0 ? "," : "", escaped.c_str(),
-                 static_cast<unsigned long long>(snap.entries[i].samples));
-  }
-  std::fputs("\n  ]\n}\n", f);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok || std::rename(tmpPath.c_str(), path) != 0) {
-    std::remove(tmpPath.c_str());
-    return false;
-  }
-  return true;
-}
-
-void writeProfileSummary(std::FILE* out) {
-  const ProfileSnapshot snap = profileSnapshot();
-  if (snap.totalSamples == 0 && snap.droppedSamples == 0) return;
-  std::fprintf(out,
-               "=== brew profile (%llu Hz) ===\n"
-               "  samples: %llu total, %llu in generated code, %llu "
-               "dropped\n",
-               static_cast<unsigned long long>(snap.hz),
-               static_cast<unsigned long long>(snap.totalSamples),
-               static_cast<unsigned long long>(snap.brewSamples),
-               static_cast<unsigned long long>(snap.droppedSamples));
-  for (const auto& e : snap.entries)
-    std::fprintf(out, "  %-48s %12llu\n", e.name.c_str(),
-                 static_cast<unsigned long long>(e.samples));
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@
 #include <mutex>
 #include <string>
 
-#include "support/profiler.hpp"
 
 namespace brew::telemetry {
 
@@ -540,9 +539,6 @@ void writeSummary(std::FILE* out) {
             Histogram::quantileFromBuckets(h.buckets, 0.999)),
         static_cast<unsigned long long>(h.max));
   }
-  // The sampling profiler's per-specialization attribution rides along in
-  // the same BREW_STATS report (no-op when it never ran).
-  prof::writeProfileSummary(out);
 }
 
 }  // namespace brew::telemetry

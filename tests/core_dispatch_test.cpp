@@ -17,7 +17,6 @@
 #include "core/dispatch.hpp"
 #include "jit/assembler.hpp"
 #include "support/flight_recorder.hpp"
-#include "support/profiler.hpp"
 #include "support/telemetry.hpp"
 
 namespace brew {
@@ -659,47 +658,6 @@ TEST(Dispatch, InvalidKeyParameterFallsBackToOriginal) {
                        fastOptions());
   EXPECT_FALSE(d2.valid());
   EXPECT_EQ(d2.entry(), kernel.data());
-}
-
-// Dispatch ranks variants by call counts only: CPU samples the profiler
-// attributes to a variant's code never move its hit score or inline way.
-TEST(Dispatch, ProfileSamplesIgnoredWithoutProfileGuided) {
-  SpecManager manager{SpecManager::Options{.workers = 1}};
-  ExecMemory kernel = buildKernel(1000);
-  DispatchOptions opt = fastOptions();
-  opt.inlineWays = 1;
-  VariantDispatcher d(manager, kernel.data(), 0, protoArgs(), Config{},
-                      opt);
-  ASSERT_TRUE(d.valid());
-  auto fn = d.as<kernel_t>();
-  for (int i = 0; i < 200; ++i) ASSERT_EQ(fn(3, i), 3000 + i);
-  for (int i = 0; i < 40; ++i) ASSERT_EQ(fn(8, i), 8000 + i);
-  ASSERT_EQ(d.variantCount(), 2u);
-
-  const std::vector<VariantInfo> before = d.variants();
-  const void* coldEntry = nullptr;
-  for (const VariantInfo& v : before) {
-    if (v.key == 8u) {
-      EXPECT_FALSE(v.inlineCached);
-      coldEntry = v.entry;
-    }
-  }
-  ASSERT_NE(coldEntry, nullptr);
-
-  // The profiler attributes CPU samples to the cold variant's code.
-  const uint64_t brewBefore = prof::profileSnapshot().brewSamples;
-  for (int i = 0; i < 1000; ++i)
-    prof::injectSampleForTest(reinterpret_cast<uint64_t>(coldEntry));
-  prof::drainSamplesNow();
-  EXPECT_GE(prof::profileSnapshot().brewSamples, brewBefore + 1000);
-
-  const std::vector<VariantInfo> after = d.variants();
-  ASSERT_EQ(after.size(), before.size());
-  for (size_t i = 0; i < after.size(); ++i) {
-    EXPECT_EQ(after[i].key, before[i].key);
-    EXPECT_EQ(after[i].hits, before[i].hits);
-    EXPECT_EQ(after[i].inlineCached, before[i].inlineCached);
-  }
 }
 
 // The registry queries behind the C API: aggregate() backs

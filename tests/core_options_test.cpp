@@ -3,6 +3,7 @@
 // BEFORE anything constructs the process-wide SpecManager, and every other
 // C API test binary constructs it on its first rewrite.
 #include <gtest/gtest.h>
+#include <signal.h>
 
 #include "core/brew.h"
 
@@ -28,11 +29,6 @@ TEST(CApiOptions, NullAndBogusValuesAreSafe) {
 // One ordered test so configuration provably precedes first use and the
 // freeze provably follows it.
 TEST(CApiOptions, ConfigureShapesTheProcessRuntimeThenFreezes) {
-  // Probe at another rate first, so a profiler found running at 97 Hz
-  // below was started by the runtime from the configured option.
-  const bool canArm = brew_profile_start(101) == 0;
-  brew_profile_stop();
-
   brew_options* options = brew_options_init();
   ASSERT_NE(options, nullptr);
   brew_options_set_workers(options, 1);
@@ -42,7 +38,7 @@ TEST(CApiOptions, ConfigureShapesTheProcessRuntimeThenFreezes) {
   brew_options_set_dispatch_ways(options, 2);
   brew_options_set_sample_calls(options, 4);
   brew_options_set_decay_interval(options, 16);
-  brew_options_set_profile_hz(options, 97);
+  brew_options_set_profile_hz(options, 97);  // a no-op: no sampler exists
 
   // Before first use: accepted, and a second call overwrites wholesale.
   EXPECT_EQ(brew_configure(options), 0);
@@ -63,11 +59,11 @@ TEST(CApiOptions, ConfigureShapesTheProcessRuntimeThenFreezes) {
   brew_getcachestats(&cache);
   EXPECT_EQ(cache.shards, 1u);                  // configured, not env/default
   EXPECT_EQ(cache.capacity_bytes, 8u << 20);
-  if (canArm) {
-    brew_profile profile;
-    brew_profile_snapshot(&profile);
-    EXPECT_EQ(profile.hz, 97);
-  }
+  // The runtime arms no SIGPROF sampler, whatever the profile rate says.
+  struct sigaction prof;
+  ASSERT_EQ(sigaction(SIGPROF, nullptr, &prof), 0);
+  EXPECT_EQ(prof.sa_handler, SIG_DFL);
+  EXPECT_EQ(prof.sa_flags & SA_SIGINFO, 0);
 
   // The dispatcher inherits the configured variant budget (3) even when
   // more keys are hot.
@@ -95,7 +91,6 @@ TEST(CApiOptions, ConfigureShapesTheProcessRuntimeThenFreezes) {
   EXPECT_EQ(brew_configure(late), -1);
   brew_options_free(late);
   brew_freeConf(conf);
-  brew_profile_stop();
 }
 
 }  // namespace

@@ -123,6 +123,22 @@ TEST(Rewrite, UnknownBranchCapturesBothPaths) {
   EXPECT_GE(rewritten->traceStats().capturedBranches, 1u);
 }
 
+// The listing covers the whole unit: both arms of the unknown branch end in
+// their own `ret`, so the second arm is only visible past the first one.
+TEST(Rewrite, ListingShowsBlocksAfterFirstRet) {
+  ExecMemory fn = buildCompare();
+  Rewriter rewriter{Config{}};
+  auto rewritten = rewriter.rewrite(fn.data(), 0, 0);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.error().message();
+  ASSERT_GE(rewritten->traceStats().blocks, 2u);
+  const std::string disasm = rewritten->disassembly();
+  const size_t firstRet = disasm.find(":  ret\n");
+  ASSERT_NE(firstRet, std::string::npos) << disasm;
+  const std::string tail = disasm.substr(firstRet + 7);
+  EXPECT_NE(tail.find(":  mov "), std::string::npos) << disasm;
+  EXPECT_NE(tail.find(":  ret\n"), std::string::npos) << disasm;
+}
+
 TEST(Rewrite, KnownBranchResolved) {
   ExecMemory fn = buildCompare();
   Config config;

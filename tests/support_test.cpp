@@ -112,12 +112,14 @@ TEST(PrinterTest, InstructionText) {
   EXPECT_EQ(text({0x48, 0x0f, 0x44, 0xc1}), "cmove rax, rcx");
 }
 
-TEST(PrinterTest, DisassemblyStopsAtRet) {
-  const uint8_t code[] = {0x90, 0xc3, 0xcc, 0xcc};
+TEST(PrinterTest, DisassemblyDecodesPastRet) {
+  const uint8_t code[] = {0x90, 0xc3, 0x48, 0x99, 0xc3};
   const std::string out = isa::disassemble(code, 0);
-  EXPECT_NE(out.find("nop"), std::string::npos);
-  EXPECT_NE(out.find("ret"), std::string::npos);
-  EXPECT_EQ(out.find("int3"), std::string::npos);
+  EXPECT_EQ(out,
+            "     0:  nop\n"
+            "     1:  ret\n"
+            "     2:  cqo\n"
+            "     4:  ret\n");
 }
 
 TEST(PrinterTest, UndecodableNoted) {
